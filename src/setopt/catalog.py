@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calcvar import Boundary, Lagrangian
-from .cones import DualBase, base_directions, cone_orthant, interior_base
+from .cones import DualBase, as_vector, base_directions, cone_orthant, interior_base
 from .errors import InputFormatError
 from .oracle import FiniteInstance
-from .setfuns import Box, Grid, SetFunction
+from .setfuns import Box, SetFunction
 from .uppersets import UpperSet
 
 
@@ -87,29 +87,22 @@ SOLVE_NAMES = ("hyperbola", "linear_vop", "scalar_identity")
 CVP_NAMES = ("quadratic_cvp",)
 
 
-def directions_for(problem: Problem, count: int | None = None) -> DualBase:
+def directions_for(problem: Problem, count: int | None = None,
+                   anchor=None) -> DualBase:
     """The scalarization base for a problem at the requested direction
-    count (interior bases drop the non-attaining extreme directions)."""
+    count and anchor (defaults: the problem's own).  Interior bases drop
+    the non-attaining extreme directions; a single direction, or a scalar
+    objective, gets the anchor itself scaled to ``w @ anchor == 1``."""
     k = count if count is not None else problem.default_directions
     if k < 1:
         raise InputFormatError("need at least one direction")
     cone = problem.setfn.cone
+    anchor = problem.anchor if anchor is None else as_vector(anchor, cone.dim)
     if problem.base_kind == "interior":
-        return interior_base(cone, problem.anchor, k + 1)
+        return interior_base(cone, anchor, k + 1)
     if cone.dim == 1 or k == 1:
-        return DualBase(cone, problem.anchor,
-                        np.atleast_2d(problem.anchor / (problem.anchor @ problem.anchor)))
-    return base_directions(cone, problem.anchor, k - 1)
-
-
-def hyperbola_on_grid(count: int = 2000, lo: float = 1e-3,
-                      hi: float = 100.0) -> SetFunction:
-    """The reciprocal-curve objective tabulated on log-spaced grid points,
-    the discretization used for the translation identities."""
-    pts = np.geomspace(lo, hi, count)[:, None]
-    cone = cone_orthant(2)
-    return SetFunction.from_vector_map(Grid(pts), cone, _hyperbola_map,
-                                       label="hyperbola-grid")
+        return DualBase(cone, anchor, np.atleast_2d(anchor / (anchor @ anchor)))
+    return base_directions(cone, anchor, k - 1)
 
 
 def _quadratic_fn(t, y, p):

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog, jsonio
+from . import catalog, cones, jsonio
 from ._version import __version__
 from .calcvar import CvpOptions, cvp_sweep
-from .cones import DualBase, base_directions, default_anchor, interior_base
+from .cones import DualBase, default_anchor
 from .errors import SetOptError
 from .oracle import (campaign_commutation, campaign_lemma, check_commutation,
                      check_inf_translation_lemma, corrupting_override,
@@ -142,16 +142,8 @@ def _load_problem(args):
 
 
 def _base_for(prob, args) -> DualBase:
-    anchor = _parse_vector(args.anchor) if args.anchor else prob.anchor
-    count = args.base_res if args.base_res else prob.default_directions
-    if args.anchor is None and count == prob.default_directions:
-        return catalog.directions_for(prob, count)
-    cone = prob.setfn.cone
-    if prob.base_kind == "interior":
-        return interior_base(cone, anchor, count + 1)
-    if cone.dim == 1 or count == 1:
-        return DualBase(cone, anchor, np.atleast_2d(anchor / (anchor @ anchor)))
-    return base_directions(cone, anchor, count - 1)
+    return catalog.directions_for(prob, args.base_res or None,
+                                  _parse_vector(args.anchor) if args.anchor else None)
 
 
 def _sweep_rows(results, alphas):
@@ -256,7 +248,7 @@ def run_verify(args) -> int:
 def _oracle_instance_payload(inst, m, dirs, args) -> tuple:
     anchor = default_anchor(inst.cone)
     if dirs is None:
-        dirs = base_directions(inst.cone, anchor, 4).directions
+        dirs = cones.base_directions(inst.cone, anchor, 4).directions
     if m is None:
         m = inst.grid
     override = None

@@ -155,7 +155,7 @@ class Cone:
         return f"Cone(kind={self.kind!r}, dim={self.dim}, primal={self.primal.tolist()})"
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Cone)
             and self.dim == other.dim
             and self.primal.shape == other.primal.shape
@@ -264,9 +264,32 @@ def base_directions(cone: Cone, anchor, resolution: int) -> DualBase:
         raise InvalidDimensionError(
             f"resolution must be a positive integer, got {resolution!r}"
         )
+    return _simplex_base(cone, anchor, resolution, interior=False)
+
+
+def interior_base(cone: Cone, anchor, resolution: int) -> DualBase:
+    """Like :func:`base_directions` but keeping only strictly interior
+    combinations (every barycentric weight positive).  Used for problems
+    whose extreme-direction scalarizations do not attain their infimum.
+    """
+    if not isinstance(resolution, int) or resolution < 2:
+        raise InvalidDimensionError(
+            f"interior bases need resolution >= 2, got {resolution!r}"
+        )
+    return _simplex_base(cone, anchor, resolution, interior=True)
+
+
+def _simplex_base(cone: Cone, anchor, resolution: int, interior: bool) -> DualBase:
+    """The deduplicated simplex-grid combinations of the anchor-normalized
+    dual generators (only those with every weight positive when
+    ``interior``), planar bases sorted by barycentric coordinate."""
     anchor = as_vector(anchor, cone.dim)
     normalized = np.stack([_normalize_to_anchor(z, anchor) for z in cone.dual])
     weights = simplex_grid(normalized.shape[0], resolution)
+    if interior:
+        weights = weights[np.all(weights > 0.0, axis=1)]
+        if weights.shape[0] == 0:
+            raise InvalidDimensionError("resolution too small for an interior base")
     dirs = weights @ normalized
     # Put the pure generators first so deduplication keeps them.
     is_corner = weights.max(axis=1) == 1.0
@@ -279,37 +302,6 @@ def base_directions(cone: Cone, anchor, resolution: int) -> DualBase:
         kept.append(w)
     kept_arr = np.stack(kept)
     # Stable report order: sort planar bases by barycentric coordinate.
-    base = DualBase(cone, anchor, kept_arr)
-    alphas = base.alpha_coordinates()
-    if alphas is not None:
-        base = DualBase(cone, anchor, kept_arr[np.argsort(alphas)])
-    return base
-
-
-def interior_base(cone: Cone, anchor, resolution: int) -> DualBase:
-    """Like :func:`base_directions` but keeping only strictly interior
-    combinations (every barycentric weight positive).  Used for problems
-    whose extreme-direction scalarizations do not attain their infimum.
-    """
-    if not isinstance(resolution, int) or resolution < 2:
-        raise InvalidDimensionError(
-            f"interior bases need resolution >= 2, got {resolution!r}"
-        )
-    anchor = as_vector(anchor, cone.dim)
-    normalized = np.stack([_normalize_to_anchor(z, anchor) for z in cone.dual])
-    if normalized.shape[0] == 1:
-        return DualBase(cone, anchor, normalized)
-    weights = simplex_grid(normalized.shape[0], resolution)
-    weights = weights[np.all(weights > 0.0, axis=1)]
-    if weights.shape[0] == 0:
-        raise InvalidDimensionError("resolution too small for an interior base")
-    dirs = weights @ normalized
-    kept: list[np.ndarray] = []
-    for w in dirs:
-        if any(np.linalg.norm(w - k) <= TOL_GEOM * max(1.0, np.linalg.norm(w)) for k in kept):
-            continue
-        kept.append(w)
-    kept_arr = np.stack(kept)
     base = DualBase(cone, anchor, kept_arr)
     alphas = base.alpha_coordinates()
     if alphas is not None:

@@ -14,6 +14,7 @@ identities are exact on finite data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,6 +30,13 @@ _KEY_DECIMALS = 9
 
 def _key(point: np.ndarray) -> tuple:
     return tuple(np.round(np.asarray(point, dtype=float), _KEY_DECIMALS).tolist())
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows with distinct rounded keys, each first occurrence kept, in
+    their original order."""
+    _, keep = np.unique(np.round(rows, _KEY_DECIMALS), axis=0, return_index=True)
+    return rows[np.sort(keep)]
 
 
 @dataclass(frozen=True)
@@ -97,10 +105,7 @@ def exact_inf(inst: FiniteInstance, subset=None):
     g_inf = lattice_inf(vals)
     gens = [v.minimal_generators() for v in vals if not v.is_empty]
     if gens:
-        stacked = np.vstack(gens)
-        _, keep = np.unique(np.round(stacked, _KEY_DECIMALS), axis=0,
-                            return_index=True)
-        f_gens = stacked[np.sort(keep)]
+        f_gens = _unique_rows(np.vstack(gens))
     else:
         f_gens = np.zeros((0, inst.cone.dim))
     return g_inf, f_gens
@@ -146,25 +151,18 @@ def translated_domain(inst: FiniteInstance, subset_idx) -> np.ndarray:
     Restricting the translated function to this set preserves the exact
     infimum: every grid point stays reachable."""
     diffs = inst.grid[None, :, :] - inst.grid[list(subset_idx), None, :]
-    flat = diffs.reshape(-1, inst.grid.shape[1])
-    _, keep = np.unique(np.round(flat, _KEY_DECIMALS), axis=0, return_index=True)
-    return flat[np.sort(keep)]
+    return _unique_rows(diffs.reshape(-1, inst.grid.shape[1]))
 
 
-def _inf_over_translated(inst: FiniteInstance, subset_idx) -> UpperSet:
-    """Infimum of the translated function over its whole translated domain,
-    computed by enumerating every in-grid argument the translation can
-    reach (a flat infimum over the reachable table rows)."""
-    reach = set()
-    dom = translated_domain(inst, subset_idx)
-    for x in dom:
-        for i in subset_idx:
-            j = inst.index_of(x + inst.grid[i])
-            if j >= 0:
-                reach.add(j)
-    if not reach:
-        return UpperSet.empty(inst.cone)
-    return lattice_inf([inst.values[j] for j in sorted(reach)])
+def _translated_value(inst: FiniteInstance, x, subset_idx,
+                      fhat_override=None) -> UpperSet:
+    """The translated value at x for an index subset, unless
+    ``fhat_override`` supplies one (it returns None to defer)."""
+    if fhat_override is not None:
+        v = fhat_override(np.asarray(x, dtype=float), frozenset(subset_idx))
+        if v is not None:
+            return v
+    return inf_translate(inst, x, subset_idx)
 
 
 @dataclass
@@ -229,7 +227,9 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     """Exhaustively check the translation identities on a finite instance.
 
     m and n are point subsets of the grid with m contained in n (n
-    defaults to the whole grid).  ``fhat_override``, when given, is
+    defaults to the whole grid).  Clause c4 asks that the origin value of
+    each tested superset equals the grid infimum exactly when m attains
+    it.  ``fhat_override``, when given, is
     consulted for every translated value (returning None defers to the
     honest computation); it exists so tests can corrupt the table and
     confirm the clauses actually detect it.
@@ -239,22 +239,14 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     if not set(m_idx) <= set(n_idx):
         raise OutOfDomainError("m must be a subset of n")
 
-    def fhat(x, subset_idx) -> UpperSet:
-        if fhat_override is not None:
-            v = fhat_override(np.asarray(x, dtype=float), frozenset(subset_idx))
-            if v is not None:
-                return v
-        return inf_translate(inst, x, subset_idx)
-
+    fhat = functools.partial(_translated_value, inst, fhat_override=fhat_override)
     clauses: list[ClauseResult] = []
     zero = np.zeros(inst.grid.shape[1])
 
     # (a) growing the translation set can only improve every value
     dom_m = translated_domain(inst, m_idx)
     dom_n = translated_domain(inst, n_idx)
-    stacked = np.vstack([dom_m, dom_n])
-    _, keep = np.unique(np.round(stacked, _KEY_DECIMALS), axis=0, return_index=True)
-    dom_union = stacked[np.sort(keep)]
+    dom_union = _unique_rows(np.vstack([dom_m, dom_n]))
     witness = None
     for x in dom_union:
         if not order_geq(fhat(x, m_idx), fhat(x, n_idx), tol):
@@ -298,17 +290,19 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
         witness = None if ok else "no tested superset separates a non-infimizer"
     clauses.append(ClauseResult("c3_supersets", ok, witness))
 
-    # (c4): the origin attains the translated infimum for every tested
-    # superset exactly when m attains the infimum
+    # (c4): the origin value of each tested superset equals the grid
+    # infimum exactly when m attains the infimum (the translated infimum
+    # of any nonempty subset is the grid infimum: x = g_k - g_i reaches
+    # every g_k)
     witness = None
     if c1:
         for s in fams:
-            if not equals(fhat(zero, s), _inf_over_translated(inst, s), tol):
+            if not equals(fhat(zero, s), total_inf, tol):
                 witness = f"origin misses the translated infimum for superset {list(s)}"
                 break
         ok = witness is None
     else:
-        ok = not equals(at_zero, _inf_over_translated(inst, m_idx), tol)
+        ok = not equals(at_zero, total_inf, tol)
         witness = None if ok else "origin attains the translated infimum despite c1 failing"
     clauses.append(ClauseResult("c4_supersets", ok, witness))
 
@@ -326,15 +320,11 @@ def check_commutation(inst: FiniteInstance, m, directions,
     dom = translated_domain(inst, m_idx)
     worst = 0.0
     for x in dom:
-        if fhat_override is not None:
-            v = fhat_override(np.asarray(x, dtype=float), frozenset(m_idx))
-            if v is None:
-                v = inf_translate(inst, x, m_idx)
-        else:
-            v = inf_translate(inst, x, m_idx)
+        v = _translated_value(inst, x, m_idx, fhat_override)
+        parts = [inst.value_at(x + inst.grid[i]) for i in m_idx]
         for z in dirs:
             lhs = support(v, z)
-            rhs = min(support(inst.value_at(x + inst.grid[i]), z) for i in m_idx)
+            rhs = min(support(p, z) for p in parts)
             if math.isinf(lhs) and math.isinf(rhs) and lhs == rhs:
                 continue
             worst = max(worst, abs(lhs - rhs))

@@ -166,19 +166,22 @@ def scalarize(f: SetFunction, zstar, x) -> float:
     z = as_vector(zstar, f.cone.dim)
     if not dual_contains(f.cone, z):
         raise InvalidDirectionError(f"{z.tolist()} lies outside the dual cone")
-    if f.vector_map is not None:
-        x = as_vector(x, f.space.dim)
-        if not f.space.contains(x):
-            raise OutOfDomainError(f"{x.tolist()} lies outside the variable space")
-        v = f.vector_map(x)
-        return math.inf if v is None else float(z @ as_vector(v, f.cone.dim))
-    return support(evaluate(f, x), z)
+    x = as_vector(x, f.space.dim)
+    if not f.space.contains(x):
+        raise OutOfDomainError(f"{x.tolist()} lies outside the variable space")
+    return _scalarize_in_space(f, z, x)
 
 
 def _scalarize_or_inf(f: SetFunction, z: np.ndarray, x: np.ndarray) -> float:
     """Scalarization under the translation convention (off-space -> +inf)."""
     if not f.space.contains(x):
         return math.inf
+    return _scalarize_in_space(f, z, x)
+
+
+def _scalarize_in_space(f: SetFunction, z: np.ndarray, x: np.ndarray) -> float:
+    """Scalarization at an in-space point, through the vector map when
+    there is one."""
     if f.vector_map is not None:
         v = f.vector_map(x)
         return math.inf if v is None else float(z @ as_vector(v, f.cone.dim))
@@ -337,19 +340,3 @@ class ScalarizationProfile:
             for i, z in enumerate(base.directions):
                 values[i, j] = support(v, z)
         return cls(base, pts, values)
-
-    def recheck(self, f: SetFunction, count: int = 16, seed: int = 0) -> bool:
-        """Debug aid: re-evaluate a seeded sample of entries and compare."""
-        rng = np.random.default_rng(seed)
-        n = self.values.size
-        for flat in rng.choice(n, size=min(count, n), replace=False):
-            i, j = np.unravel_index(int(flat), self.values.shape)
-            fresh = support(evaluate_or_empty(f, self.points[j]),
-                            self.base.directions[i])
-            old = self.values[i, j]
-            if math.isinf(fresh) or math.isinf(old):
-                if fresh != old:
-                    return False
-            elif abs(fresh - old) > 1e-12 * max(1.0, abs(old)):
-                return False
-        return True

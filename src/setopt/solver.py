@@ -238,10 +238,21 @@ class InfimizerGaps:
     co_gap: float
     candidate_minima: np.ndarray
     probe_minima: np.ndarray
+    #: The candidate's profile, reused by the sc-condition check.
+    _candidate: ScalarizationProfile | None = field(default=None, repr=False,
+                                                    compare=False)
 
     @property
     def max_gap(self) -> float:
         return float(np.max(self.gaps)) if self.gaps.size else 0.0
+
+
+def _gaps_above(minima: np.ndarray, rivals: np.ndarray) -> np.ndarray:
+    """How far each minimum lies above its rival; two infinite values
+    count as no gap."""
+    with np.errstate(invalid="ignore"):  # inf - inf, masked out below
+        above = np.maximum(minima - rivals, 0.0)
+    return np.where(np.isinf(minima) & np.isinf(rivals), 0.0, above)
 
 
 def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe,
@@ -256,19 +267,14 @@ def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe,
     prof_p = ScalarizationProfile.build(f, base, probe)
     min_m = np.min(prof_m.values, axis=1)
     min_p = np.min(prof_p.values, axis=1)
-    gaps = np.where(
-        np.isinf(min_m) & np.isinf(min_p), 0.0, np.maximum(min_m - min_p, 0.0)
-    )
     co_gap = 0.0
     if len(m) >= 2:
         co_pts = convex_sample_points(m.points, extra=co_extra, seed=seed)
-        for i, z in enumerate(base.directions):
-            vals = [_scalarize_or_inf(f, z, p) for p in co_pts]
-            best_co = min(vals)
-            if math.isfinite(min_m[i]) or math.isfinite(best_co):
-                co_gap = max(co_gap, max(0.0, float(min_m[i]) - float(best_co)))
-    return InfimizerGaps(gaps=gaps, co_gap=co_gap,
-                         candidate_minima=min_m, probe_minima=min_p)
+        best_co = np.min(ScalarizationProfile.build(f, base, co_pts).values, axis=1)
+        co_gap = float(np.max(_gaps_above(min_m, best_co)))
+    return InfimizerGaps(gaps=_gaps_above(min_m, min_p), co_gap=co_gap,
+                         candidate_minima=min_m, probe_minima=min_p,
+                         _candidate=prof_m)
 
 
 def verify_lattice_minimizer(f: SetFunction, xbar, probe, tol: float = 1e-9) -> bool:
@@ -331,7 +337,7 @@ def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
         tol = default_tol(f.space)
     probe = as_matrix(probe, f.space.dim)
     gaps = verify_infimizer(f, m, base, probe, tol, co_extra=co_extra, seed=seed)
-    prof_m = ScalarizationProfile.build(f, base, m.points)
+    prof_m = gaps._candidate
     residuals = np.empty(len(m))
     res_dir = np.empty((len(m), f.cone.dim))
     for j in range(len(m)):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from setopt.cli import main
+from setopt.cones import base_directions, cone_orthant, interior_base
 
 
 def run(argv):
@@ -53,6 +54,25 @@ def test_solve_scalar_identity_single_direction(outdir):
     assert len(rep["condition3"]["directions"]) >= 1
     x = rep["candidate"]["points"][0][0]
     assert abs(x - 2.0) <= 1e-3
+
+
+def test_solve_custom_anchor_bases(tmp_path):
+    cases = [
+        (["linear_vop", "--base-res", 21, "--anchor", "1,2"],
+         base_directions(cone_orthant(2), [1.0, 2.0], 20)),
+        (["hyperbola", "--base-res", 5, "--anchor", "2,1"],
+         interior_base(cone_orthant(2), [2.0, 1.0], 6)),
+        # --base-res 0 keeps the catalog's direction count
+        (["hyperbola", "--base-res", 0, "--anchor", "2,1"],
+         interior_base(cone_orthant(2), [2.0, 1.0], 10)),
+    ]
+    for i, (argv, expected) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run(["solve", "--catalog", *argv, "--out", out]) == 0
+        rep = json.loads((out / "solve_report.json").read_text())
+        dirs = np.array(rep["directions"], dtype=float)
+        assert np.array_equal(dirs, expected.directions)
+        np.testing.assert_allclose(dirs @ expected.anchor, 1.0, rtol=0, atol=1e-12)
 
 
 def test_verify_true_infimizer(outdir):

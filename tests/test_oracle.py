@@ -10,7 +10,7 @@ from setopt.oracle import (campaign_commutation, campaign_lemma,
                            exact_inf, inf_translate,
                            minimizers_form_infimizer, random_instance,
                            translated_domain)
-from setopt.uppersets import contains_point, equals
+from setopt.uppersets import contains_point, equals, lattice_inf
 
 
 def test_instance_lookup_and_bounds():
@@ -49,16 +49,25 @@ def test_exact_inf_subset_matches_manual():
 
 
 def test_translated_domain_reaches_whole_grid():
-    inst = hyperbola_instance()
-    m_idx = (3, 7)
-    dom = translated_domain(inst, m_idx)
-    reached = set()
-    for x in dom:
-        for i in m_idx:
-            j = inst.index_of(x + inst.grid[i])
-            if j >= 0:
-                reached.add(j)
-    assert reached == set(range(inst.size))
+    # Every grid point is reachable from the translated domain of any
+    # nonempty subset, so the translated infimum is the grid infimum.
+    cases = [(hyperbola_instance(), (3, 7))]
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        inst, _, _ = random_instance(rng)
+        size = int(rng.integers(1, inst.size + 1))
+        cases.append((inst, tuple(rng.choice(inst.size, size=size, replace=False))))
+    for inst, m_idx in cases:
+        dom = translated_domain(inst, m_idx)
+        reached = set()
+        for x in dom:
+            for i in m_idx:
+                j = inst.index_of(x + inst.grid[i])
+                if j >= 0:
+                    reached.add(j)
+        assert reached == set(range(inst.size))
+        hat_inf = lattice_inf([inf_translate(inst, x, m_idx) for x in dom])
+        assert equals(hat_inf, exact_inf(inst)[0])
 
 
 def test_inf_translate_at_origin_is_subset_inf():

@@ -202,7 +202,6 @@ def test_scalarization_profile_build_and_recheck():
     pts = np.array([[0.5], [1.0], [2.0]])
     prof = ScalarizationProfile.build(f, base, pts)
     assert prof.values.shape == (len(base), 3)
-    assert prof.recheck(f)
     # profile entries equal direct scalarization
     assert prof.values[0, 1] == pytest.approx(
         scalarize(f, base.directions[0], pts[1]))

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from setopt.catalog import make_problem
 from setopt.cones import base_directions, cone_orthant, interior_base
 from setopt.errors import EmptyCandidateError, InfeasibleProblemError
-from setopt.setfuns import Box, CandidateSet, Grid, SetFunction
+from setopt.setfuns import (Box, CandidateSet, Grid, SetFunction,
+                            convex_sample_points, scalarize)
 from setopt.solver import (ScalarMinResult, SearchOptions, build_infimum,
                            collect_candidate, probe_points, scalar_minimize,
                            sweep, verify_infimizer, verify_lattice_minimizer,
@@ -130,6 +131,19 @@ def test_verify_infimizer_detects_removed_point():
     probe = probe_points(prob.setfn.space, 21)
     gaps = verify_infimizer(prob.setfn, m, base, probe)
     assert gaps.max_gap >= 0.2
+
+
+def test_verify_infimizer_co_gap_matches_direct_scalarization():
+    prob = hyperbola()
+    f = prob.setfn
+    base = interior_base(f.cone, prob.anchor, 8)
+    m = CandidateSet(np.array([[0.5], [2.0]]))
+    gaps = verify_infimizer(f, m, base, probe_points(f.space, 9), co_extra=8, seed=3)
+    co_pts = convex_sample_points(m.points, extra=8, seed=3)
+    expected = max(min(scalarize(f, z, p) for p in m.points)
+                   - min(scalarize(f, z, p) for p in co_pts) for z in base.directions)
+    assert expected > 0.1  # the midpoint x = 1 beats both candidate points
+    assert gaps.co_gap == expected
 
 
 def test_verify_lattice_minimizer_on_exhaustive_grid():
