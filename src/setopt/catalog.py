@@ -142,6 +142,13 @@ def make_lagrangian(name: str) -> Lagrangian:
     raise InputFormatError(f"unknown Lagrangian {name!r}")
 
 
+def cvp_directions(alphas=None, count: int = 9) -> np.ndarray:
+    """Planar directions ``(alpha, 1 - alpha)``; the alphas default to
+    ``count`` values evenly spaced on [0.1, 0.9]."""
+    a = np.linspace(0.1, 0.9, count) if alphas is None else np.asarray(alphas, dtype=float)
+    return np.stack([a, 1.0 - a], axis=1)
+
+
 @dataclass(frozen=True)
 class CvpProblem:
     """A catalog variational problem: Lagrangian, endpoints, mesh and
@@ -151,21 +158,15 @@ class CvpProblem:
     lagrangian: Lagrangian
     boundary: Boundary
     mesh: int
-    alphas: np.ndarray
+    directions: np.ndarray
     description: str
-
-    @property
-    def directions(self) -> np.ndarray:
-        return np.stack([self.alphas, 1.0 - self.alphas], axis=1)
 
 
 def make_cvp(name: str, *, mesh: int | None = None, alphas=None) -> CvpProblem:
     if name == "quadratic_cvp":
-        a = np.asarray(alphas, dtype=float) if alphas is not None \
-            else np.linspace(0.1, 0.9, 9)
         return CvpProblem(name, make_lagrangian("quadratic"),
                        Boundary(0.0, 1.0, [0.0], [1.0]),
-                       mesh if mesh is not None else 100, a,
+                       mesh if mesh is not None else 100, cvp_directions(alphas),
                        "curve energy vs displacement; every interior "
                        "scalarization has a hyperbolic-sine solution")
     raise InputFormatError(f"unknown catalog variational problem {name!r}")

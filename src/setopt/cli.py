@@ -29,8 +29,8 @@ from .oracle import (campaign_commutation, campaign_lemma, check_commutation,
                      check_inf_translation_lemma, corrupting_override,
                      enumerate_lattice_minimizers)
 from .setfuns import CandidateSet
-from .solver import (SearchOptions, collect_candidate, probe_points, sweep,
-                     verify_sc_solution)
+from .solver import (MERGE_TOL, SearchOptions, collect_candidate, probe_points,
+                     sweep, verify_sc_solution)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -199,7 +199,7 @@ def _emit_solution(args, prob, base, report, sweep_rows, prefix) -> None:
         "seed": args.seed,
         "probe_res": args.probe_res,
         "co_samples": args.co_samples,
-        "merge_tol": 1e-5,
+        "merge_tol": MERGE_TOL,
     }
     if "json" in formats:
         jsonio.write_json(out / f"{prefix}_report.json",
@@ -307,8 +307,7 @@ def run_cvp(args) -> int:
     if args.mesh:
         mesh = args.mesh
     if args.base_res:
-        alphas = np.linspace(0.1, 0.9, args.base_res)
-        dirs = np.stack([alphas, 1.0 - alphas], axis=1)
+        dirs = catalog.cvp_directions(count=args.base_res)
     phi_tol = args.tol if args.tol is not None else 1e-4
     opts = CvpOptions(grad_tol=args.grad_tol)
     report = cvp_sweep(lag, dirs, boundary, mesh, opts, phi_tol=phi_tol,

@@ -4,7 +4,9 @@ A cone is described twice: by primal generators (the cone is their conic
 hull) and by dual generators (the dual cone is the conic hull of those).
 Both descriptions are user supplied and cross-validated at construction;
 the exact planar machinery downstream relies on the dual list generating
-the full dual cone.
+the full dual cone.  A cone also owns the geometry derived from it; the
+planar basis and the d >= 3 certificate directions are computed on first
+use, so a cone whose planar geometry is degenerate still constructs.
 
 All vectors are numpy float arrays.  Cones are immutable after
 construction.
@@ -12,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -23,6 +26,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidDirectionError,
     NonPointedConeError,
+    UnsupportedDimensionError,
 )
 
 #: Geometric slack used by containment and validation tests.
@@ -118,6 +122,8 @@ class Cone:
         norms_d = np.linalg.norm(self.dual, axis=1)
         if np.any(norms_p <= TOL_GEOM) or np.any(norms_d <= TOL_GEOM):
             raise InvalidDimensionError("cone generators must be nonzero")
+        self.unit_primal = self.primal / norms_p[:, None]
+        self.unit_primal.flags.writeable = False
         cross = self.dual @ self.primal.T  # (m, k)
         scale = np.outer(norms_d, norms_p)
         if np.min(cross / scale) < -TOL_GEOM:
@@ -134,12 +140,11 @@ class Cone:
         strictly positive on every primal generator."""
         weights = simplex_grid(self.dual.shape[0], _WITNESS_RESOLUTION)
         combos = weights @ self.dual
-        unit_primal = self.primal / np.linalg.norm(self.primal, axis=1)[:, None]
         for z in combos:
             nz = np.linalg.norm(z)
             if nz <= TOL_GEOM:
                 continue
-            if np.min((z / nz) @ unit_primal.T) > TOL_GEOM:
+            if np.min((z / nz) @ self.unit_primal.T) > TOL_GEOM:
                 return z / nz
         raise NonPointedConeError(
             "no dual combination is strictly positive on all primal "
@@ -150,6 +155,29 @@ class Cone:
     def pointedness_witness(self) -> np.ndarray:
         """A dual vector strictly positive on every primal generator."""
         return self._witness
+
+    @functools.cached_property
+    def planar_basis(self) -> np.ndarray:
+        """Rows are the unit extreme dual rays; maps z to staircase
+        coordinates u = B @ z in which a planar cone is the nonnegative
+        quadrant."""
+        lo, hi = extreme_rays_2d(self.dual)
+        b = np.stack([lo / np.linalg.norm(lo), hi / np.linalg.norm(hi)])
+        if abs(np.linalg.det(b)) <= TOL_GEOM:
+            raise UnsupportedDimensionError(
+                "planar cone has dependent extreme dual rays; exact geometry "
+                "needs a full-dimensional cone"
+            )
+        b.flags.writeable = False
+        return b
+
+    @functools.cached_property
+    def certificate_directions(self) -> np.ndarray:
+        """Unit dual directions used for sampled containment tests (d >= 3)."""
+        base = base_directions(self, default_anchor(self), resolution=6)
+        dirs = base.directions / np.linalg.norm(base.directions, axis=1)[:, None]
+        dirs.flags.writeable = False
+        return dirs
 
     def __repr__(self) -> str:
         return f"Cone(kind={self.kind!r}, dim={self.dim}, primal={self.primal.tolist()})"
@@ -194,8 +222,7 @@ def dual_contains(cone: Cone, zstar, tol: float = TOL_GEOM) -> bool:
     nz = np.linalg.norm(z)
     if nz == 0.0:
         return True
-    unit_primal = cone.primal / np.linalg.norm(cone.primal, axis=1)[:, None]
-    return bool(np.min(unit_primal @ (z / nz)) >= -tol)
+    return bool(np.min(cone.unit_primal @ (z / nz)) >= -tol)
 
 
 class DualBase:
@@ -345,7 +372,7 @@ def default_anchor(cone: Cone) -> np.ndarray:
     """
     if cone.kind == "orthant":
         return np.ones(cone.dim)
-    anchor = np.sum(cone.primal / np.linalg.norm(cone.primal, axis=1)[:, None], axis=0)
+    anchor = np.sum(cone.unit_primal, axis=0)
     for z in cone.dual:
         if float(z @ anchor) <= TOL_GEOM * np.linalg.norm(z) * np.linalg.norm(anchor):
             raise InvalidAnchorError(

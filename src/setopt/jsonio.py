@@ -189,8 +189,7 @@ def cvp_from_dict(d: dict):
     if "directions" in d:
         dirs = np.atleast_2d(np.asarray(d["directions"], dtype=float))
     else:
-        alphas = np.asarray(d.get("alphas", np.linspace(0.1, 0.9, 9)), dtype=float)
-        dirs = np.stack([alphas, 1.0 - alphas], axis=1)
+        dirs = catalog.cvp_directions(d.get("alphas"))
     return lag, boundary, mesh, dirs
 
 

@@ -276,12 +276,15 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     fams, mode = _superset_family(inst, m_idx, power_limit, sample_count, seed,
                                   extra=[n_idx])
 
+    # origin values of the tested supersets, shared by c3 and c4
+    origins = [fhat(zero, s) for s in fams] if c1 else []
+
     # (c3): the value at the origin is stable under every tested superset
     # exactly when m attains the infimum
     witness = None
     if c1:
-        for s in fams:
-            if not equals(at_zero, fhat(zero, s), tol):
+        for s, origin in zip(fams, origins):
+            if not equals(at_zero, origin, tol):
                 witness = f"origin value moved for superset {list(s)}"
                 break
         ok = witness is None
@@ -296,8 +299,8 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     # every g_k)
     witness = None
     if c1:
-        for s in fams:
-            if not equals(fhat(zero, s), total_inf, tol):
+        for s, origin in zip(fams, origins):
+            if not equals(origin, total_inf, tol):
                 witness = f"origin misses the translated infimum for superset {list(s)}"
                 break
         ok = witness is None

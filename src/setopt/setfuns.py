@@ -23,6 +23,7 @@ import numpy as np
 
 from .cones import Cone, DualBase, TOL_GEOM, as_matrix, as_vector, dual_contains, reflected
 from .errors import (
+    ConeMismatchError,
     EmptyCandidateError,
     InvalidDimensionError,
     InvalidDirectionError,
@@ -333,10 +334,16 @@ class ScalarizationProfile:
 
     @classmethod
     def build(cls, f: SetFunction, base: DualBase, points) -> "ScalarizationProfile":
+        """Evaluate f once per point; the point's column is the minimum of
+        its generators' products with every base direction (+inf on empty
+        values).  The base has already checked its directions against the
+        cone, so they need no per-entry dual-cone test."""
+        if base.cone != f.cone:
+            raise ConeMismatchError("the direction base and the function use different cones")
         pts = as_matrix(points, f.space.dim)
-        values = np.empty((len(base), pts.shape[0]))
-        for j in range(pts.shape[0]):
-            v = evaluate_or_empty(f, pts[j])
-            for i, z in enumerate(base.directions):
-                values[i, j] = support(v, z)
+        values = np.full((len(base), pts.shape[0]), math.inf)
+        for j, x in enumerate(pts):
+            v = evaluate_or_empty(f, x)
+            if not v.is_empty:
+                values[:, j] = np.min(v.generators @ base.directions.T, axis=0)
         return cls(base, pts, values)

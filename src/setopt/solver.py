@@ -37,6 +37,9 @@ from .uppersets import UpperSet, equals, lattice_inf, order_geq
 TOL_VAL_GRID = 1e-6
 TOL_VAL_BOX = 1e-3
 
+#: Distance within which sweep minimizers merge into one candidate point.
+MERGE_TOL = 1e-5
+
 
 def default_tol(space) -> float:
     return TOL_VAL_GRID if isinstance(space, Grid) else TOL_VAL_BOX
@@ -193,7 +196,7 @@ def sweep(f: SetFunction, base: DualBase, opts: SearchOptions | None = None) -> 
     return results
 
 
-def collect_candidate(results: list[ScalarMinResult], merge_tol: float = 1e-5) -> CandidateSet:
+def collect_candidate(results: list[ScalarMinResult], merge_tol: float = MERGE_TOL) -> CandidateSet:
     """Merge the converged minimizers within ``merge_tol`` (cluster
     centroids, deterministic in sweep order)."""
     mins = [r.minimizer for r in results if r.converged and r.minimizer is not None]
@@ -255,13 +258,12 @@ def _gaps_above(minima: np.ndarray, rivals: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(minima) & np.isinf(rivals), 0.0, above)
 
 
-def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe,
-                     tol: float | None = None, *, co_extra: int = 32,
-                     seed: int = 1) -> InfimizerGaps:
-    """Scalarization gap test: for every base direction, the candidate's
-    best value must not exceed the probe's best value (beyond tol, which
-    callers compare against ``max_gap``).  The convex-hull gap compares
-    the candidate against barycentric samples of its own hull."""
+def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe, *,
+                     co_extra: int = 32, seed: int = 1) -> InfimizerGaps:
+    """Scalarization gap test: for every base direction, how far the
+    candidate's best value lies above the probe's best value (callers
+    compare ``max_gap`` against their tolerance).  The convex-hull gap
+    compares the candidate against barycentric samples of its own hull."""
     probe = as_matrix(probe, f.space.dim)
     prof_m = ScalarizationProfile.build(f, base, m.points)
     prof_p = ScalarizationProfile.build(f, base, probe)
@@ -336,16 +338,12 @@ def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
     if tol is None:
         tol = default_tol(f.space)
     probe = as_matrix(probe, f.space.dim)
-    gaps = verify_infimizer(f, m, base, probe, tol, co_extra=co_extra, seed=seed)
-    prof_m = gaps._candidate
-    residuals = np.empty(len(m))
-    res_dir = np.empty((len(m), f.cone.dim))
-    for j in range(len(m)):
-        per_dir = prof_m.values[:, j] - gaps.probe_minima
-        per_dir = np.where(np.isnan(per_dir), math.inf, per_dir)
-        i = int(np.argmin(per_dir))
-        residuals[j] = per_dir[i]
-        res_dir[j] = base.directions[i]
+    gaps = verify_infimizer(f, m, base, probe, co_extra=co_extra, seed=seed)
+    per_dir = gaps._candidate.values - gaps.probe_minima[:, None]
+    per_dir = np.where(np.isnan(per_dir), math.inf, per_dir)
+    best = np.argmin(per_dir, axis=0)
+    residuals = per_dir[best, np.arange(len(m))]
+    res_dir = base.directions[best]
     lattice_ok = []
     if check_lattice_min:
         lattice_ok = [verify_lattice_minimizer(f, p, probe) for p in m.points]

@@ -6,29 +6,21 @@ legitimate value (the top element); the whole-space bottom element is not
 representable and never arises from these operations.
 
 Dimensions 1 and 2 run on exact vertex/facet geometry.  The planar case
-is normalized into dual-ray coordinates, where the cone becomes the
-nonnegative orthant and the minimal boundary is a southwest staircase.
-For d >= 3 containment falls back to a sampled-direction support
-certificate (sound up to the sampled directions).
+is normalized into dual-ray coordinates (the cone's ``planar_basis``),
+where the cone becomes the nonnegative orthant and the minimal boundary
+is a southwest staircase.  For d >= 3 containment falls back to a
+sampled-direction support certificate over the cone's
+``certificate_directions`` (sound up to the sampled directions).  Each
+value computes its minimal frontier once, and :func:`prune` returns it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .cones import (
-    Cone,
-    TOL_GEOM,
-    as_matrix,
-    as_vector,
-    base_directions,
-    default_anchor,
-    dual_contains,
-    extreme_rays_2d,
-)
+from .cones import Cone, TOL_GEOM, as_matrix, as_vector, dual_contains
 from .errors import (
     ConeMismatchError,
     EmptyFamilyError,
@@ -39,30 +31,6 @@ from .errors import (
 
 #: Hard cap on raw generator counts fed through lattice operations.
 GENERATOR_LIMIT = 10000
-
-
-@functools.lru_cache(maxsize=64)
-def _planar_basis(cone: Cone) -> np.ndarray:
-    """Rows are the unit extreme dual rays; maps z to staircase coordinates
-    u = B @ z in which the cone is the nonnegative quadrant."""
-    lo, hi = extreme_rays_2d(cone.dual)
-    b = np.stack([lo / np.linalg.norm(lo), hi / np.linalg.norm(hi)])
-    if abs(np.linalg.det(b)) <= TOL_GEOM:
-        raise UnsupportedDimensionError(
-            "planar cone has dependent extreme dual rays; exact geometry "
-            "needs a full-dimensional cone"
-        )
-    b.flags.writeable = False
-    return b
-
-
-@functools.lru_cache(maxsize=64)
-def _certificate_directions(cone: Cone) -> np.ndarray:
-    """Unit dual directions used for sampled containment tests (d >= 3)."""
-    base = base_directions(cone, default_anchor(cone), resolution=6)
-    dirs = base.directions / np.linalg.norm(base.directions, axis=1)[:, None]
-    dirs.flags.writeable = False
-    return dirs
 
 
 def _staircase_frontier(u: np.ndarray, tol: float) -> list[int]:
@@ -164,7 +132,7 @@ class UpperSet:
     # -- internal geometry ------------------------------------------------
 
     def _u(self) -> np.ndarray:
-        return self.generators @ _planar_basis(self.cone).T
+        return self.generators @ self.cone.planar_basis.T
 
     def _frontier(self) -> list[int]:
         if self._frontier_idx is None:
@@ -199,7 +167,7 @@ class UpperSet:
 
 def _certificate_frontier(a: UpperSet) -> list[int]:
     """Greedy redundancy filter for d >= 3 via sampled support dominance."""
-    dirs = _certificate_directions(a.cone)
+    dirs = a.cone.certificate_directions
     gens = a.generators
     prods = gens @ dirs.T  # (k, ndirs)
     scale = max(1.0, float(np.max(np.abs(gens))))
@@ -225,16 +193,16 @@ def _require_same_cone(*values: UpperSet) -> Cone:
     return cone
 
 
-def oplus(a: UpperSet, b: UpperSet, cap: int = GENERATOR_LIMIT) -> UpperSet:
+def oplus(a: UpperSet, b: UpperSet) -> UpperSet:
     """Minkowski sum followed by closure: pairwise generator sums, pruned.
     The empty set absorbs."""
     cone = _require_same_cone(a, b)
     if a.is_empty or b.is_empty:
         return UpperSet.empty(cone)
     ka, kb = a.generators.shape[0], b.generators.shape[0]
-    if ka * kb > cap:
+    if ka * kb > GENERATOR_LIMIT:
         raise GeneratorLimitError(
-            f"{ka * kb} pairwise sums exceed the budget {cap}"
+            f"{ka * kb} pairwise sums exceed the budget {GENERATOR_LIMIT}"
         )
     sums = (a.generators[:, None, :] + b.generators[None, :, :]).reshape(-1, cone.dim)
     return prune(UpperSet(cone, sums))
@@ -252,7 +220,7 @@ def scale(t: float, a: UpperSet) -> UpperSet:
     return UpperSet(a.cone, t * a.generators)
 
 
-def lattice_inf(values, cap: int = GENERATOR_LIMIT) -> UpperSet:
+def lattice_inf(values) -> UpperSet:
     """Lattice infimum: closed convex hull of the union, as pruned
     generators.  An all-Empty family yields Empty."""
     values = list(values)
@@ -262,12 +230,7 @@ def lattice_inf(values, cap: int = GENERATOR_LIMIT) -> UpperSet:
     gens = [v.generators for v in values if not v.is_empty]
     if not gens:
         return UpperSet.empty(cone)
-    stacked = np.concatenate(gens, axis=0)
-    if stacked.shape[0] > cap:
-        raise GeneratorLimitError(
-            f"{stacked.shape[0]} generators exceed the budget {cap}"
-        )
-    return prune(UpperSet(cone, stacked))
+    return prune(UpperSet(cone, np.concatenate(gens, axis=0)))
 
 
 def lattice_sup_2d(values) -> UpperSet:
@@ -303,8 +266,7 @@ def lattice_sup_2d(values) -> UpperSet:
     ]
     if not feasible:
         return UpperSet.empty(cone)
-    basis = _planar_basis(cone)
-    points = np.linalg.solve(basis, np.stack(feasible).T).T
+    points = np.linalg.solve(cone.planar_basis, np.stack(feasible).T).T
     return prune(UpperSet(cone, points))
 
 
@@ -332,10 +294,10 @@ def contains_point(a: UpperSet, q, tol: float = TOL_GEOM) -> bool:
         lo = float(np.min(a.generators[:, 0]))
         return bool(q[0] >= lo - tol * max(1.0, abs(lo)))
     if a.dim == 2:
-        u = _planar_basis(a.cone) @ q
+        u = a.cone.planar_basis @ q
         scale_ = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(a._u()))))
         return all(n @ u >= h - tol * scale_ for n, h in a.facets())
-    dirs = _certificate_directions(a.cone)
+    dirs = a.cone.certificate_directions
     mins = (a.generators @ dirs.T).min(axis=0)
     scale_ = max(1.0, float(np.max(np.abs(q))), float(np.max(np.abs(a.generators))))
     return bool(np.all(dirs @ q >= mins - tol * scale_))
@@ -357,21 +319,10 @@ def equals(a: UpperSet, b: UpperSet, tol: float = TOL_GEOM) -> bool:
     return order_geq(a, b, tol) and order_geq(b, a, tol)
 
 
-def prune(a: UpperSet, tol: float = TOL_GEOM, cap: int = GENERATOR_LIMIT) -> UpperSet:
+def prune(a: UpperSet) -> UpperSet:
     """Minimal generator description: drops every generator contained in
     the upper set spanned by the others."""
-    if a.is_empty:
-        return a
-    if a.generators.shape[0] > cap:
-        raise GeneratorLimitError(
-            f"{a.generators.shape[0]} generators exceed the budget {cap}"
-        )
-    if a.dim == 1:
-        return UpperSet(a.cone, [[float(np.min(a.generators[:, 0]))]])
-    if a.dim == 2:
-        idx = _staircase_frontier(a._u(), tol)
-        return UpperSet(a.cone, a.generators[idx])
-    return UpperSet(a.cone, a.generators[_certificate_frontier(a)])
+    return UpperSet(a.cone, a.minimal_generators())
 
 
 def boundary_polyline(a: UpperSet) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +333,7 @@ def boundary_polyline(a: UpperSet) -> tuple[np.ndarray, np.ndarray]:
     if a.is_empty:
         return np.empty((0, 2)), np.empty((0, 2))
     verts = a.minimal_generators()
-    basis = _planar_basis(a.cone)
+    basis = a.cone.planar_basis
     # u-axis rays map back to the unbounded edge directions.
     ray_start = np.linalg.solve(basis, np.array([0.0, 1.0]))
     ray_end = np.linalg.solve(basis, np.array([1.0, 0.0]))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from setopt.cones import cone_orthant, interior_base
-from setopt.errors import (EmptyCandidateError, InvalidDimensionError,
+from setopt.cones import base_directions, cone_generated, cone_orthant, interior_base
+from setopt.errors import (ConeMismatchError, EmptyCandidateError,
+                           InvalidDimensionError,
                            InvalidDirectionError, OutOfDomainError,
                            UnsupportedDimensionError)
 from setopt.setfuns import (Box, CandidateSet, Grid, ScalarizationProfile,
@@ -196,15 +197,58 @@ def test_candidate_set_validation():
         CandidateSet(np.empty((0, 1)))
 
 
+def _profile_matching_support_loop(f, base, pts):
+    """Build the profile and require every entry to match the per-entry
+    support of the evaluated value: infinite entries exactly, finite ones
+    within 4.5e-16 relative (matrix products may sum in another order)."""
+    prof = ScalarizationProfile.build(f, base, pts)
+    ref = np.array([[support(evaluate_or_empty(f, x), z) for x in pts]
+                    for z in base.directions])
+    assert prof.values.shape == ref.shape == (len(base), len(pts))
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(prof.values), finite)
+    assert np.array_equal(prof.values[~finite], ref[~finite])
+    assert np.all(np.abs(prof.values[finite] - ref[finite])
+                  <= 4.5e-16 * np.abs(ref[finite]))
+    return prof
+
+
 def test_scalarization_profile_build_and_recheck():
     f = hyper_fn()
     base = interior_base(C2, np.array([1.0, 1.0]), 6)
-    pts = np.array([[0.5], [1.0], [2.0]])
-    prof = ScalarizationProfile.build(f, base, pts)
-    assert prof.values.shape == (len(base), 3)
-    # profile entries equal direct scalarization
+    pts = np.array([[0.5], [1.0], [2.0], [150.0]])
+    prof = _profile_matching_support_loop(f, base, pts)
+    # profile entries equal direct scalarization; the off-domain column is +inf
     assert prof.values[0, 1] == pytest.approx(
         scalarize(f, base.directions[0], pts[1]))
+    assert np.all(prof.values[:, 3] == np.inf)
+
+    def three_gens(x):
+        return [[x[0], 3.0 - x[0]], [1.0 + x[0], 0.5], [0.3, 2.0 + x[0] ** 2]]
+
+    g = SetFunction.from_generator_map(Box([0.0], [2.0]), C2, three_gens)
+    _profile_matching_support_loop(g, base_directions(C2, np.array([1.0, 2.0]), 9),
+                                   np.array([[0.0], [0.7], [1.3], [2.0]]))
+
+    c3 = cone_orthant(3)
+    rng = np.random.default_rng(5)
+    vals = [UpperSet(c3, rng.uniform(0.5, 4.0, size=(k, 3))) for k in (1, 3, 4)]
+    vals.insert(2, UpperSet.empty(c3))
+    grid_pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    table = SetFunction.from_table(c3, grid_pts, vals)
+    prof = _profile_matching_support_loop(
+        table, base_directions(c3, np.ones(3), 4), grid_pts)
+    assert np.all(prof.values[:, 2] == np.inf)
+
+
+def test_profile_build_rejects_base_over_another_cone():
+    f = hyper_fn()
+    pts = np.array([[1.0]])
+    # an equal cone built separately is the same cone
+    ScalarizationProfile.build(f, interior_base(cone_orthant(2), np.ones(2), 4), pts)
+    other = cone_generated([[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(ConeMismatchError):
+        ScalarizationProfile.build(f, base_directions(other, np.array([2.0, 1.0]), 4), pts)
 
 
 def test_profile_marks_infeasible_points_infinite():

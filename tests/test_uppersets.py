@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from setopt.cones import cone_generated, cone_orthant
+from setopt.cones import Cone, cone_generated, cone_orthant
 from setopt.errors import (ConeMismatchError, EmptyFamilyError,
-                           GeneratorLimitError, InvalidScalarError)
+                           GeneratorLimitError, InvalidScalarError,
+                           UnsupportedDimensionError)
 from setopt.uppersets import (UpperSet, boundary_polyline, contains_point,
                               equals, lattice_inf, lattice_sup_2d, oplus,
                               order_geq, prune, reflect, scale, support)
@@ -29,6 +30,21 @@ def test_construction_and_empty():
 def test_generator_budget():
     with pytest.raises(GeneratorLimitError):
         UpperSet(C2, np.zeros((10001, 2)))
+
+
+def test_oplus_refuses_too_many_pairwise_sums():
+    a = UpperSet(C2, np.arange(202.0).reshape(101, 2))
+    with pytest.raises(GeneratorLimitError):
+        oplus(a, a)
+
+
+def test_degenerate_planar_cone_constructs_but_prune_refuses():
+    # one dual generator: the cone is pointed, but its planar staircase
+    # basis is singular, which only planar geometry needs
+    cone = Cone(np.eye(2), [[1.0, 1.0]])
+    a = UpperSet(cone, [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(UnsupportedDimensionError):
+        prune(a)
 
 
 def test_minimal_generators_drop_dominated():
