@@ -28,7 +28,7 @@ from .setfuns import (Box, CandidateSet, Grid, ScalarizationProfile,
                       evaluate_or_empty, inf_translation, scalarize,
                       scalarized_inf_translation, sup_translation)
 from .solver import (InfimizerGaps, ScalarMinResult, SearchOptions,
-                     SolutionReport, build_infimum, collect_candidate,
+                     SolutionReport, collect_candidate,
                      default_tol, probe_points, scalar_minimize, sweep,
                      verify_infimizer, verify_lattice_minimizer,
                      verify_sc_solution)

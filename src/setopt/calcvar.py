@@ -162,13 +162,20 @@ def scalar_objective(lag: Lagrangian, zeta: np.ndarray, arc: Arc) -> float:
     return float(np.asarray(zeta, dtype=float) @ objective(lag, arc))
 
 
-def scalar_gradient(lag: Lagrangian, zeta: np.ndarray, arc: Arc) -> np.ndarray:
-    """Gradient of the scalarized objective in the interior states,
-    shape (N-1, n)."""
+def _scalarized_partials(lag: Lagrangian, zeta, arc: Arc):
+    """Interval widths and the zeta-scalarized Lagrangian partials in y
+    and p at every interval midpoint, each of shape (N, n)."""
     zeta = np.asarray(zeta, dtype=float)
     h, tm, ym, p = _interval_data(lag, arc)
     ly = np.einsum("j,mjn->mn", zeta, np.asarray(lag.d_y(tm, ym, p), dtype=float))
     lp = np.einsum("j,mjn->mn", zeta, np.asarray(lag.d_p(tm, ym, p), dtype=float))
+    return h, ly, lp
+
+
+def scalar_gradient(lag: Lagrangian, zeta: np.ndarray, arc: Arc) -> np.ndarray:
+    """Gradient of the scalarized objective in the interior states,
+    shape (N-1, n)."""
+    h, ly, lp = _scalarized_partials(lag, zeta, arc)
     # d/dx_k: each interior node sees its two adjacent intervals.
     return 0.5 * (h[:-1, None] * ly[:-1] + h[1:, None] * ly[1:]) + (lp[:-1] - lp[1:])
 
@@ -265,8 +272,6 @@ def solve_sccvp(lag: Lagrangian, zeta, boundary: Boundary, N: int,
     final_arc = Arc(times, x)
     g = scalar_gradient(lag, zeta, final_arc)
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    if not converged and not note:
-        note = "iteration budget exhausted"
     return CvpSolveResult(zeta, final_arc, objective(lag, final_arc), gnorm,
                           iterations, converged, note)
 
@@ -274,10 +279,7 @@ def solve_sccvp(lag: Lagrangian, zeta, boundary: Boundary, N: int,
 def first_order_residual(lag: Lagrangian, zeta, arc: Arc, directions) -> np.ndarray:
     """Discrete first-variation residuals, one per test direction,
     normalized by the direction's sup norm."""
-    zeta = np.asarray(zeta, dtype=float)
-    h, tm, ym, p = _interval_data(lag, arc)
-    ly = np.einsum("j,mjn->mn", zeta, np.asarray(lag.d_y(tm, ym, p), dtype=float))
-    lp = np.einsum("j,mjn->mn", zeta, np.asarray(lag.d_p(tm, ym, p), dtype=float))
+    h, ly, lp = _scalarized_partials(lag, zeta, arc)
     out = []
     for d in directions:
         u = d.states
@@ -328,8 +330,6 @@ class CvpReport:
     notes: list[str]
     translation_margin: float
     translation_pass: bool
-    phi_tol: float
-    mesh: int
 
     @property
     def all_converged(self) -> bool:
@@ -367,7 +367,6 @@ def cvp_sweep(lag: Lagrangian, directions, boundary: Boundary, N: int,
     if solved:
         probe = random_test_directions(N, lag.n, probe_count, seed=seed + 9001)
         scales = (0.3, 1.0)
-        margin = math.inf
         for zeta in dirs:
             best0 = min(scalar_objective(lag, zeta, r.arc) for r in solved)
             for td in probe:
@@ -390,6 +389,4 @@ def cvp_sweep(lag: Lagrangian, directions, boundary: Boundary, N: int,
         notes=[r.note for r in rows],
         translation_margin=float(margin),
         translation_pass=bool(margin >= -phi_tol),
-        phi_tol=phi_tol,
-        mesh=N,
     )

@@ -152,7 +152,7 @@ def _sweep_rows(results, alphas):
         rows.append({
             "direction": r.direction,
             "alpha": None if alphas is None else alphas[i],
-            "minimizer": None if r.minimizer is None else r.minimizer,
+            "minimizer": r.minimizer,
             "value": r.value,
             "iterations": r.iterations,
             "converged": r.converged,

@@ -144,12 +144,17 @@ class SetFunction:
         return cls(grid, cone, evaluator, label=label)
 
 
-def evaluate(f: SetFunction, x) -> UpperSet:
-    """Evaluate at an in-space point; raises OutOfDomainError otherwise."""
+def _in_space(f: SetFunction, x) -> np.ndarray:
+    """x as a variable-space vector; raises OutOfDomainError outside the space."""
     x = as_vector(x, f.space.dim)
     if not f.space.contains(x):
         raise OutOfDomainError(f"{x.tolist()} lies outside the variable space")
-    return f._evaluator(x)
+    return x
+
+
+def evaluate(f: SetFunction, x) -> UpperSet:
+    """Evaluate at an in-space point; raises OutOfDomainError otherwise."""
+    return f._evaluator(_in_space(f, x))
 
 
 def evaluate_or_empty(f: SetFunction, x) -> UpperSet:
@@ -167,10 +172,7 @@ def scalarize(f: SetFunction, zstar, x) -> float:
     z = as_vector(zstar, f.cone.dim)
     if not dual_contains(f.cone, z):
         raise InvalidDirectionError(f"{z.tolist()} lies outside the dual cone")
-    x = as_vector(x, f.space.dim)
-    if not f.space.contains(x):
-        raise OutOfDomainError(f"{x.tolist()} lies outside the variable space")
-    return _scalarize_in_space(f, z, x)
+    return _scalarize_in_space(f, z, _in_space(f, x))
 
 
 def _scalarize_or_inf(f: SetFunction, z: np.ndarray, x: np.ndarray) -> float:
@@ -322,13 +324,17 @@ def sup_translation(f: SetFunction, m: CandidateSet, *, co_extra: int = 32,
 class ScalarizationProfile:
     """A frozen table of scalarization values over a direction base and a
     point family.  ``values[i, j]`` is the i-th direction at the j-th
-    point; entries may be +inf."""
+    point; entries may be +inf.  ``sets[j]`` is the value f took at the
+    j-th point (empty off the space), held so that checks on the same
+    points need not evaluate f again."""
 
-    def __init__(self, base: DualBase, points: np.ndarray, values: np.ndarray):
+    def __init__(self, base: DualBase, points: np.ndarray, values: np.ndarray, sets):
         self.base = base
         self.points = as_matrix(points)
         self.values = np.asarray(values, dtype=float)
-        if self.values.shape != (len(base), self.points.shape[0]):
+        self.sets = tuple(sets)
+        if (self.values.shape != (len(base), self.points.shape[0])
+                or len(self.sets) != self.points.shape[0]):
             raise InvalidDimensionError("profile shape mismatch")
         self.values.flags.writeable = False
 
@@ -341,9 +347,9 @@ class ScalarizationProfile:
         if base.cone != f.cone:
             raise ConeMismatchError("the direction base and the function use different cones")
         pts = as_matrix(points, f.space.dim)
+        sets = [evaluate_or_empty(f, x) for x in pts]
         values = np.full((len(base), pts.shape[0]), math.inf)
-        for j, x in enumerate(pts):
-            v = evaluate_or_empty(f, x)
+        for j, v in enumerate(sets):
             if not v.is_empty:
                 values[:, j] = np.min(v.generators @ base.directions.T, axis=0)
-        return cls(base, pts, values)
+        return cls(base, pts, values, sets)

@@ -5,7 +5,8 @@ grids, by compass pattern search on boxes), collect the converged
 minimizers into a candidate set, then verify the candidate against an
 independent probe family: per-direction infimizer gaps, a convex-hull
 gap, and the per-point requirement that every candidate point minimizes
-some direction.
+some direction.  Each candidate and probe point is evaluated once; every
+verdict is read off those held values.
 
 Verification probes are generated independently of anything the search
 touched (offset lattice plus a seeded uniform sample).
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DualBase, as_matrix, as_vector
+from .cones import DualBase, as_vector
 from .errors import EmptyCandidateError, InfeasibleProblemError
 from .setfuns import (
     Box,
@@ -28,8 +29,8 @@ from .setfuns import (
     SetFunction,
     convex_sample_points,
     scalarize,
+    _in_space,
     _scalarize_or_inf,
-    evaluate,
 )
 from .uppersets import UpperSet, equals, lattice_inf, order_geq
 
@@ -235,15 +236,15 @@ def probe_points(space, resolution: int = 33, seed: int = 1) -> np.ndarray:
 
 @dataclass
 class InfimizerGaps:
-    """Per-direction scalarization gaps of a candidate set against a probe."""
+    """Per-direction scalarization gaps of a candidate set against a probe,
+    with the two profiles they were read from."""
 
     gaps: np.ndarray
     co_gap: float
     candidate_minima: np.ndarray
     probe_minima: np.ndarray
-    #: The candidate's profile, reused by the sc-condition check.
-    _candidate: ScalarizationProfile | None = field(default=None, repr=False,
-                                                    compare=False)
+    candidate: ScalarizationProfile
+    probe: ScalarizationProfile
 
     @property
     def max_gap(self) -> float:
@@ -264,7 +265,6 @@ def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe, *,
     candidate's best value lies above the probe's best value (callers
     compare ``max_gap`` against their tolerance).  The convex-hull gap
     compares the candidate against barycentric samples of its own hull."""
-    probe = as_matrix(probe, f.space.dim)
     prof_m = ScalarizationProfile.build(f, base, m.points)
     prof_p = ScalarizationProfile.build(f, base, probe)
     min_m = np.min(prof_m.values, axis=1)
@@ -276,24 +276,14 @@ def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe, *,
         co_gap = float(np.max(_gaps_above(min_m, best_co)))
     return InfimizerGaps(gaps=_gaps_above(min_m, min_p), co_gap=co_gap,
                          candidate_minima=min_m, probe_minima=min_p,
-                         _candidate=prof_m)
+                         candidate=prof_m, probe=prof_p)
 
 
-def verify_lattice_minimizer(f: SetFunction, xbar, probe, tol: float = 1e-9) -> bool:
-    """True iff no probe point takes a strictly smaller lattice value than
-    f(xbar) (a strictly larger upper set)."""
-    val = evaluate(f, xbar)
-    for x in probe:
-        vx = evaluate(f, x)
-        if order_geq(val, vx, tol) and not equals(val, vx, tol):
-            return False
-    return True
-
-
-def build_infimum(f: SetFunction, m) -> UpperSet:
-    """The lattice infimum of the candidate values (Empty if all are)."""
-    points = m.points if isinstance(m, CandidateSet) else np.atleast_2d(np.asarray(m, dtype=float))
-    return lattice_inf([evaluate(f, p) for p in points])
+def verify_lattice_minimizer(value: UpperSet, probe_values, tol: float = 1e-9) -> bool:
+    """True iff no probe value is strictly smaller in the lattice than
+    ``value`` (a strictly larger upper set)."""
+    return not any(order_geq(value, v, tol) and not equals(value, v, tol)
+                   for v in probe_values)
 
 
 @dataclass
@@ -337,16 +327,22 @@ def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
     (residual = min over directions of its value above the probe's best)."""
     if tol is None:
         tol = default_tol(f.space)
-    probe = as_matrix(probe, f.space.dim)
     gaps = verify_infimizer(f, m, base, probe, co_extra=co_extra, seed=seed)
-    per_dir = gaps._candidate.values - gaps.probe_minima[:, None]
+    probe = gaps.probe.points
+    # The profiles score off-space points as empty values; the candidate,
+    # and the probe when the lattice check reads it, must lie in the space.
+    checked = np.concatenate([m.points, probe]) if check_lattice_min else m.points
+    for x in checked:
+        _in_space(f, x)
+    per_dir = gaps.candidate.values - gaps.probe_minima[:, None]
     per_dir = np.where(np.isnan(per_dir), math.inf, per_dir)
     best = np.argmin(per_dir, axis=0)
     residuals = per_dir[best, np.arange(len(m))]
     res_dir = base.directions[best]
     lattice_ok = []
     if check_lattice_min:
-        lattice_ok = [verify_lattice_minimizer(f, p, probe) for p in m.points]
+        lattice_ok = [verify_lattice_minimizer(v, gaps.probe.sets)
+                      for v in gaps.candidate.sets]
     gaps_pass = gaps.max_gap <= tol and gaps.co_gap <= tol
     cond3_pass = bool(np.all(residuals <= tol))
     if gaps_pass and cond3_pass:
@@ -368,6 +364,6 @@ def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
         condition3_residuals=residuals,
         condition3_direction=res_dir,
         lattice_min_verdicts=lattice_ok,
-        infimum=build_infimum(f, m),
+        infimum=lattice_inf(gaps.candidate.sets),
         sampling={"probe_points": int(probe.shape[0]), "co_extra": co_extra, "seed": seed},
     )

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from setopt.catalog import make_problem
 from setopt.cli import main
 from setopt.cones import base_directions, cone_orthant, interior_base
+from setopt.errors import OutOfDomainError
+from setopt.setfuns import CandidateSet
+from setopt.solver import probe_points, verify_sc_solution
 
 
 def run(argv):
@@ -104,6 +108,27 @@ def test_verify_m_from_problem_file(tmp_path, outdir):
 def test_verify_without_m_is_an_input_error(outdir, capsys):
     assert run(["verify", "--catalog", "linear_vop", "--out", outdir]) == 1
     assert "candidate" in capsys.readouterr().err
+
+
+def test_verify_off_space_candidate_is_an_input_error(outdir, capsys):
+    assert run(["verify", "--catalog", "linear_vop", "--m", "5,5;1,0",
+                "--out", outdir]) == 1
+    assert ("error: [5.0, 5.0] lies outside the variable space"
+            in capsys.readouterr().err)
+    assert not (outdir / "verify_report.json").exists()
+    prob = make_problem("linear_vop")
+    f, base = prob.setfn, base_directions(prob.setfn.cone, prob.anchor, 8)
+    probe = probe_points(f.space, 5)
+    with pytest.raises(OutOfDomainError, match=r"\[5.0, 5.0\] lies outside"):
+        verify_sc_solution(f, CandidateSet(np.array([[5.0, 5.0], [1.0, 0.0]])),
+                           base, probe, check_lattice_min=False)
+    # the probe must lie in the space only when the lattice check reads it
+    m = CandidateSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    off_probe = np.concatenate([probe, [[5.0, 5.0]]])
+    with pytest.raises(OutOfDomainError, match=r"\[5.0, 5.0\] lies outside"):
+        verify_sc_solution(f, m, base, off_probe)
+    assert verify_sc_solution(f, m, base, off_probe,
+                              check_lattice_min=False).verdict == "sc-solution"
 
 
 def test_oracle_chain_instance(tmp_path, outdir):

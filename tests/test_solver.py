@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from setopt.catalog import make_problem
-from setopt.cones import base_directions, cone_orthant, interior_base
+from setopt.catalog import make_problem, pair_instance
+from setopt.cones import base_directions, cone_orthant, default_anchor, interior_base
 from setopt.errors import EmptyCandidateError, InfeasibleProblemError
+from setopt.oracle import enumerate_lattice_minimizers, random_instance
 from setopt.setfuns import (Box, CandidateSet, Grid, SetFunction,
-                            convex_sample_points, scalarize)
-from setopt.solver import (ScalarMinResult, SearchOptions, build_infimum,
+                            convex_sample_points, evaluate, scalarize)
+from setopt.solver import (ScalarMinResult, SearchOptions,
                            collect_candidate, probe_points, scalar_minimize,
                            sweep, verify_infimizer, verify_lattice_minimizer,
                            verify_sc_solution)
-from setopt.uppersets import UpperSet, equals
+from setopt.uppersets import UpperSet, equals, lattice_inf
 
 C2 = cone_orthant(2)
 
@@ -148,23 +149,53 @@ def test_verify_infimizer_co_gap_matches_direct_scalarization():
 
 def test_verify_lattice_minimizer_on_exhaustive_grid():
     from setopt.catalog import chain_instance
-    inst = chain_instance()
-    f = SetFunction.from_table(inst.cone, inst.grid, list(inst.values))
-    probe = inst.grid
+    probe_values = chain_instance().values
+    top, middle, bottom = probe_values
     # the bottom of the chain is minimal, the others are not
-    assert verify_lattice_minimizer(f, np.array([2.0]), probe)
-    assert not verify_lattice_minimizer(f, np.array([0.0]), probe)
-    assert not verify_lattice_minimizer(f, np.array([1.0]), probe)
+    assert verify_lattice_minimizer(bottom, probe_values)
+    assert not verify_lattice_minimizer(top, probe_values)
+    assert not verify_lattice_minimizer(middle, probe_values)
+
+
+@pytest.mark.parametrize("make", [
+    pair_instance,
+    lambda: random_instance(np.random.default_rng(11))[0],
+], ids=["pair", "random11"])
+def test_verify_sc_solution_evaluates_each_point_once(make):
+    inst = make()
+    table = SetFunction.from_table(inst.cone, inst.grid, list(inst.values))
+    calls = []
+
+    def evaluator(x):
+        calls.append(x)
+        return evaluate(table, x)
+
+    f = SetFunction(table.space, table.cone, evaluator)
+    m = CandidateSet(inst.grid)
+    base = base_directions(inst.cone, default_anchor(inst.cone), 6)
+    rep = verify_sc_solution(f, m, base, inst.grid, co_extra=8, seed=2)
+    # hull samples off the grid score +inf without an evaluation
+    hull = convex_sample_points(m.points, extra=8, seed=2)
+    in_space = sum(f.space.contains(x) for x in hull)
+    assert len(calls) == len(m) + len(inst.grid) + in_space
+    minimizers = enumerate_lattice_minimizers(inst)
+    expect = [any(np.array_equal(p, q) for q in minimizers) for p in inst.grid]
+    assert rep.lattice_min_verdicts == expect
+    if inst.label == "pair":
+        assert expect == [True, True, False]
+    assert not all(expect)  # a dominated point, so the check can fail
 
 
 def test_build_infimum_linear_vop():
+    # the report's infimum is the lattice infimum of the candidate values
     prob = make_problem("linear_vop")
+    base = base_directions(prob.setfn.cone, prob.anchor, 40)
     m = CandidateSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    ginf = build_infimum(prob.setfn, m)
+    rep = verify_sc_solution(prob.setfn, m, base, probe_points(prob.setfn.space, 21),
+                             check_lattice_min=False)
     expect = UpperSet(C2, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert equals(ginf, expect)
-    # plain arrays are accepted too
-    assert equals(build_infimum(prob.setfn, m.points), expect)
+    assert equals(rep.infimum, expect)
+    assert equals(rep.infimum, lattice_inf([evaluate(prob.setfn, p) for p in m.points]))
 
 
 def test_verify_sc_solution_full_verdict():
