@@ -35,6 +35,9 @@ TOL_GEOM = 1e-9
 #: Simplex-grid resolution used by the pointedness witness search.
 _WITNESS_RESOLUTION = 8
 
+#: Decimals of the rounded coordinates that identify a point.
+KEY_DECIMALS = 9
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a read-only 1-D float vector, checking its length."""
@@ -70,6 +73,17 @@ def as_matrix(rows, dim: int | None = None) -> np.ndarray:
     m = m.copy()
     m.flags.writeable = False
     return m
+
+
+def point_key(x) -> tuple:
+    """The identity of a point: its coordinates rounded to KEY_DECIMALS."""
+    return tuple(np.round(np.asarray(x, dtype=float), KEY_DECIMALS).tolist())
+
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows with distinct keys, first occurrences kept in their order."""
+    _, keep = np.unique(np.round(rows, KEY_DECIMALS), axis=0, return_index=True)
+    return rows[np.sort(keep)]
 
 
 def simplex_grid(parts: int, resolution: int) -> np.ndarray:
@@ -284,7 +298,7 @@ def base_directions(cone: Cone, anchor, resolution: int) -> DualBase:
 
     The dual generators are normalized against the anchor and every convex
     combination on the simplex grid with ``resolution`` levels per edge is
-    emitted, deduplicated within geometric tolerance.  The normalized dual
+    emitted once per point key (see :func:`point_key`).  The normalized dual
     generators themselves always survive deduplication.
     """
     if not isinstance(resolution, int) or resolution < 1:
@@ -317,17 +331,9 @@ def _simplex_base(cone: Cone, anchor, resolution: int, interior: bool) -> DualBa
         weights = weights[np.all(weights > 0.0, axis=1)]
         if weights.shape[0] == 0:
             raise InvalidDimensionError("resolution too small for an interior base")
-    dirs = weights @ normalized
     # Put the pure generators first so deduplication keeps them.
-    is_corner = weights.max(axis=1) == 1.0
-    order = np.concatenate([np.flatnonzero(is_corner), np.flatnonzero(~is_corner)])
-    kept: list[np.ndarray] = []
-    for i in order:
-        w = dirs[i]
-        if any(np.linalg.norm(w - k) <= TOL_GEOM * max(1.0, np.linalg.norm(w)) for k in kept):
-            continue
-        kept.append(w)
-    kept_arr = np.stack(kept)
+    corners_first = np.argsort(weights.max(axis=1) < 1.0, kind="stable")
+    kept_arr = unique_rows((weights @ normalized)[corners_first])
     # Stable report order: sort planar bases by barycentric coordinate.
     base = DualBase(cone, anchor, kept_arr)
     alphas = base.alpha_coordinates()

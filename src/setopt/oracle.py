@@ -21,27 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Cone, cone_orthant, cone_generated, as_matrix, as_vector
+from .cones import Cone, cone_orthant, cone_generated, as_matrix, as_vector, unique_rows
 from .errors import InvalidDimensionError, OutOfDomainError
+from .setfuns import Grid
 from .uppersets import UpperSet, equals, lattice_inf, oplus, order_geq, support
-
-_KEY_DECIMALS = 9
-
-
-def _key(point: np.ndarray) -> tuple:
-    return tuple(np.round(np.asarray(point, dtype=float), _KEY_DECIMALS).tolist())
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows with distinct rounded keys, each first occurrence kept, in
-    their original order."""
-    _, keep = np.unique(np.round(rows, _KEY_DECIMALS), axis=0, return_index=True)
-    return rows[np.sort(keep)]
-
 
 @dataclass(frozen=True)
 class FiniteInstance:
-    """A fully tabulated problem: grid points, one value per point."""
+    """A fully tabulated problem: grid points, one value per point.  The
+    points are indexed through a :class:`setfuns.Grid`, so two points with
+    one key are an input error."""
 
     grid: np.ndarray
     values: tuple
@@ -49,10 +38,11 @@ class FiniteInstance:
     label: str = "instance"
 
     def __post_init__(self):
-        grid = as_matrix(self.grid)
-        object.__setattr__(self, "grid", grid)
+        points = Grid(self.grid)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "grid", points.points)
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != grid.shape[0]:
+        if len(self.values) != len(points):
             raise InvalidDimensionError("every grid point needs a value")
         if self.cone.dim != 2:
             raise InvalidDimensionError(
@@ -60,8 +50,6 @@ class FiniteInstance:
         for v in self.values:
             if not isinstance(v, UpperSet):
                 raise InvalidDimensionError("values must be upper sets")
-        object.__setattr__(self, "_index",
-                           {_key(p): i for i, p in enumerate(grid)})
 
     @property
     def size(self) -> int:
@@ -69,7 +57,8 @@ class FiniteInstance:
 
     def index_of(self, point) -> int:
         """Grid index of a point, or -1 when it is off the grid."""
-        return self._index.get(_key(point), -1)
+        i = self._points.index_of(point)
+        return -1 if i is None else i
 
     def value_at(self, point) -> UpperSet:
         """The tabulated value, or the empty value off the grid."""
@@ -104,10 +93,7 @@ def exact_inf(inst: FiniteInstance, subset=None):
     vals = [inst.values[i] for i in idx]
     g_inf = lattice_inf(vals)
     gens = [v.minimal_generators() for v in vals if not v.is_empty]
-    if gens:
-        f_gens = _unique_rows(np.vstack(gens))
-    else:
-        f_gens = np.zeros((0, inst.cone.dim))
+    f_gens = unique_rows(np.vstack(gens)) if gens else np.zeros((0, inst.cone.dim))
     return g_inf, f_gens
 
 
@@ -151,7 +137,7 @@ def translated_domain(inst: FiniteInstance, subset_idx) -> np.ndarray:
     Restricting the translated function to this set preserves the exact
     infimum: every grid point stays reachable."""
     diffs = inst.grid[None, :, :] - inst.grid[list(subset_idx), None, :]
-    return _unique_rows(diffs.reshape(-1, inst.grid.shape[1]))
+    return unique_rows(diffs.reshape(-1, inst.grid.shape[1]))
 
 
 def _translated_value(inst: FiniteInstance, x, subset_idx,
@@ -246,7 +232,7 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     # (a) growing the translation set can only improve every value
     dom_m = translated_domain(inst, m_idx)
     dom_n = translated_domain(inst, n_idx)
-    dom_union = _unique_rows(np.vstack([dom_m, dom_n]))
+    dom_union = unique_rows(np.vstack([dom_m, dom_n]))
     witness = None
     for x in dom_union:
         if not order_geq(fhat(x, m_idx), fhat(x, n_idx), tol):

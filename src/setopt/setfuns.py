@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone, DualBase, TOL_GEOM, as_matrix, as_vector, dual_contains, reflected
+from .cones import (Cone, DualBase, TOL_GEOM, as_matrix, as_vector, dual_contains, point_key,
+                    reflected, unique_rows)
 from .errors import (
     ConeMismatchError,
     EmptyCandidateError,
@@ -58,28 +59,26 @@ class Box:
 
 
 class Grid:
-    """An explicit finite point family, duplicate-free."""
+    """An explicit finite point family.  Points are identified by their
+    keys (coordinates rounded to 9 decimals, :func:`cones.point_key`), and
+    two points with one key are an input error."""
 
     kind = "grid"
 
     def __init__(self, points):
         self.points = as_matrix(points)
         self.dim = self.points.shape[1]
-        scale = max(1.0, float(np.max(np.abs(self.points))))
-        for i in range(self.points.shape[0]):
-            diffs = np.linalg.norm(self.points[i + 1:] - self.points[i], axis=1)
-            if diffs.size and np.min(diffs) <= 1e-12 * scale:
-                raise InvalidDimensionError("grid points must be pairwise distinct")
+        self._index = {point_key(p): i for i, p in enumerate(self.points)}
+        if len(self._index) != self.points.shape[0]:
+            raise InvalidDimensionError("grid points must be pairwise distinct")
 
-    def index_of(self, x, tol: float = 1e-9) -> int | None:
-        x = as_vector(x, self.dim)
-        scale = max(1.0, float(np.max(np.abs(self.points))), float(np.max(np.abs(x))))
-        dists = np.linalg.norm(self.points - x, axis=1)
-        i = int(np.argmin(dists))
-        return i if dists[i] <= tol * scale else None
+    def index_of(self, x) -> int | None:
+        """Index of the point with x's key, None when there is none.  x is
+        a float vector; one of another length is simply not found."""
+        return self._index.get(point_key(x))
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.index_of(x, tol) is not None
+    def contains(self, x) -> bool:
+        return self.index_of(x) is not None
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -240,13 +239,8 @@ def _translated_space(space: VarSpace, ys: np.ndarray) -> VarSpace:
     stays reachable, so global infima are preserved exactly."""
     if isinstance(space, Box):
         return Box(space.lower - ys.max(axis=0), space.upper - ys.min(axis=0))
-    shifted = np.concatenate([space.points - y for y in ys], axis=0)
-    scale = max(1.0, float(np.max(np.abs(shifted))))
-    kept: list[np.ndarray] = []
-    for p in shifted:
-        if not any(np.linalg.norm(p - q) <= 1e-12 * scale for q in kept):
-            kept.append(p)
-    return Grid(np.stack(kept))
+    shifted = space.points[None, :, :] - ys[:, None, :]
+    return Grid(unique_rows(shifted.reshape(-1, space.dim)))
 
 
 def inf_translation(f: SetFunction, m: CandidateSet, *, co_extra: int = 32,

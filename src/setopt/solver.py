@@ -1,7 +1,7 @@
 """Scalarization sweeps and solution verification.
 
-The pipeline: minimize every direction of a dual base (exhaustively on
-grids, by compass pattern search on boxes), collect the converged
+The pipeline: minimize every direction of a dual base (from one profile
+on grids, by compass pattern search on boxes), collect the converged
 minimizers into a candidate set, then verify the candidate against an
 independent probe family: per-direction infimizer gaps, a convex-hull
 gap, and the per-point requirement that every candidate point minimizes
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import DualBase, as_vector
-from .errors import EmptyCandidateError, InfeasibleProblemError
+from .errors import EmptyCandidateError, InfeasibleProblemError, InvalidDirectionError
 from .setfuns import (
     Box,
     CandidateSet,
@@ -28,7 +28,6 @@ from .setfuns import (
     ScalarizationProfile,
     SetFunction,
     convex_sample_points,
-    scalarize,
     _in_space,
     _scalarize_or_inf,
 )
@@ -71,21 +70,19 @@ class ScalarMinResult:
 def scalar_minimize(f: SetFunction, zstar, opts: SearchOptions | None = None) -> ScalarMinResult:
     """Minimize the z*-scalarization of f over its variable space.
 
-    Grids are enumerated exactly.  Boxes run a compass pattern search
-    (axis and paired-diagonal directions, expansion x2, contraction x0.5,
-    relative step) from a feasible start; a minimizer pinned to a box face with the
-    descent direction pointing out of the box is flagged as suspected
-    non-attainment (``converged=False``).
+    A grid is a one-direction :func:`sweep`.  Boxes run a compass pattern
+    search (axis and paired-diagonal directions, expansion x2, contraction
+    x0.5, relative step) from a feasible start; a minimizer pinned to a box
+    face with the descent direction pointing out of the box is flagged as
+    suspected non-attainment (``converged=False``).
     """
     opts = opts or SearchOptions()
     z = as_vector(zstar, f.cone.dim)
     if isinstance(f.space, Grid):
-        values = np.array([scalarize(f, z, x) for x in f.space.points])
-        if not np.any(np.isfinite(values)):
-            raise InfeasibleProblemError("all grid values scalarize to +inf")
-        i = int(np.argmin(values))
-        return ScalarMinResult(z, f.space.points[i].copy(), float(values[i]),
-                               iterations=len(values), step_at_exit=0.0, converged=True)
+        if not np.any(z):
+            raise InvalidDirectionError("the zero direction scalarizes nothing")
+        # Anchored at z / |z|^2, the one-direction base holds z itself.
+        return sweep(f, DualBase(f.cone, z / (z @ z), [z]))[0]
     return _compass_search(f, z, opts)
 
 
@@ -182,12 +179,16 @@ def _pinned_descending(f: SetFunction, z: np.ndarray, x: np.ndarray, value: floa
 
 
 def sweep(f: SetFunction, base: DualBase, opts: SearchOptions | None = None) -> list[ScalarMinResult]:
-    """Run :func:`scalar_minimize` for every base direction.  Per-direction
-    infeasibility becomes a flagged result, never an abort."""
+    """Minimize every base direction: on a grid, read each direction's
+    minimum off one profile of the grid points; on a box, run
+    :func:`scalar_minimize`.  Per-direction infeasibility becomes a
+    flagged result, never an abort."""
+    grid = isinstance(f.space, Grid)
+    rows = ScalarizationProfile.build(f, base, f.space.points).values if grid else [None] * len(base)
     results = []
-    for z in base.directions:
+    for z, row in zip(base.directions, rows):
         try:
-            results.append(scalar_minimize(f, z, opts))
+            results.append(_row_minimum(f, z, row) if grid else scalar_minimize(f, z, opts))
         except InfeasibleProblemError as exc:
             results.append(ScalarMinResult(np.asarray(z, dtype=float), None, math.inf,
                                            iterations=0, step_at_exit=math.inf,
@@ -195,6 +196,15 @@ def sweep(f: SetFunction, base: DualBase, opts: SearchOptions | None = None) -> 
     if all(r.minimizer is None for r in results):
         raise InfeasibleProblemError("every direction was infeasible")
     return results
+
+
+def _row_minimum(f: SetFunction, z: np.ndarray, row: np.ndarray) -> ScalarMinResult:
+    """The first grid point attaining the minimum of a profile row."""
+    i = int(np.argmin(row))
+    if math.isinf(row[i]):
+        raise InfeasibleProblemError("all grid values scalarize to +inf")
+    return ScalarMinResult(z, f.space.points[i].copy(), float(row[i]),
+                           iterations=len(row), step_at_exit=0.0, converged=True)
 
 
 def collect_candidate(results: list[ScalarMinResult], merge_tol: float = MERGE_TOL) -> CandidateSet:

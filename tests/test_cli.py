@@ -164,6 +164,20 @@ def test_oracle_fault_injection_fails(tmp_path, outdir):
     assert rep["lemma"]["passed"] is False or rep["commutation_gap"] > 1e-12
 
 
+def test_oracle_duplicate_points_are_an_input_error(tmp_path, outdir, capsys):
+    inst = write_json(tmp_path / "dup.json", {
+        "cone": {"kind": "orthant", "dim": 2},
+        "table": [
+            {"x": [0.0], "generators": [[2.0, 2.0]]},
+            {"x": [1.0], "generators": [[1.0, 1.0]]},
+            {"x": [0.0], "generators": [[0.0, 0.0]]},
+        ],
+    })
+    assert run(["oracle", "--problem", inst, "--out", outdir]) == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not (outdir / "oracle_report.json").exists()
+
+
 def test_oracle_campaign(outdir):
     assert run(["oracle", "--instances", 10, "--seed", 7,
                 "--out", outdir]) == 0

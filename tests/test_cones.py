@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from setopt.cones import (DualBase, as_matrix, as_vector, base_directions,
+from setopt.cones import (TOL_GEOM, DualBase, as_matrix, as_vector, base_directions,
                           cone_generated, cone_orthant, default_anchor,
                           dual_contains, extreme_rays_2d, interior_base,
                           reflected, simplex_grid)
@@ -139,6 +139,43 @@ def test_interior_base_drops_extremes():
     assert_allclose(sorted(base.directions[:, 0]), np.linspace(0.1, 0.9, 9))
     with pytest.raises(InvalidDimensionError):
         interior_base(c, [1.0, 1.0], 1)
+
+
+def _tolerance_dedupe_base(cone, anchor, resolution, interior):
+    """Reference: the simplex base deduplicated by the earlier distance
+    loop (within TOL_GEOM, corners first), planar bases sorted by alpha."""
+    normalized = np.stack([z / float(z @ anchor) for z in cone.dual])
+    weights = simplex_grid(normalized.shape[0], resolution)
+    if interior:
+        weights = weights[np.all(weights > 0.0, axis=1)]
+    dirs = weights @ normalized
+    is_corner = weights.max(axis=1) == 1.0
+    kept = []
+    for w in np.concatenate([dirs[is_corner], dirs[~is_corner]]):
+        scale = TOL_GEOM * max(1.0, np.linalg.norm(w))
+        if not kept or np.min(np.linalg.norm(np.asarray(kept) - w, axis=1)) > scale:
+            kept.append(w)
+    kept = np.stack(kept)
+    alphas = DualBase(cone, anchor, kept).alpha_coordinates()
+    return kept if alphas is None else kept[np.argsort(alphas)]
+
+
+@pytest.mark.parametrize("cone", [
+    cone_generated([[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, -1.0], [1.0, 0.0]]),
+    cone_generated([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]],
+                   [[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, -1.0, 1.0], [0.0, 1.0, 1.0]]),
+    cone_orthant(2),
+    cone_orthant(3),
+], ids=["planar-redundant-dual", "square-pyramid", "orthant2", "orthant3"])
+def test_bases_match_tolerance_dedupe(cone):
+    # the key rule keeps exactly the directions the distance loop kept
+    anchor = default_anchor(cone)
+    for res in range(1, 21):
+        ref = _tolerance_dedupe_base(cone, anchor, res, interior=False)
+        assert base_directions(cone, anchor, res).directions.tobytes() == ref.tobytes()
+        if res >= cone.dual.shape[0]:  # some weight vector is all positive
+            ref = _tolerance_dedupe_base(cone, anchor, res, interior=True)
+            assert interior_base(cone, anchor, res).directions.tobytes() == ref.tobytes()
 
 
 def test_default_anchor():

@@ -3,14 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from setopt.catalog import chain_instance, hyperbola_instance, pair_instance
-from setopt.errors import OutOfDomainError
-from setopt.oracle import (campaign_commutation, campaign_lemma,
+from setopt.cones import cone_orthant
+from setopt.errors import InvalidDimensionError, OutOfDomainError
+from setopt.oracle import (FiniteInstance, campaign_commutation, campaign_lemma,
                            check_commutation, check_inf_translation_lemma,
                            corrupting_override, enumerate_lattice_minimizers,
                            exact_inf, inf_translate,
                            minimizers_form_infimizer, random_instance,
                            translated_domain)
-from setopt.uppersets import contains_point, equals, lattice_inf
+from setopt.uppersets import UpperSet, contains_point, equals, lattice_inf
 
 
 def test_instance_lookup_and_bounds():
@@ -21,6 +22,16 @@ def test_instance_lookup_and_bounds():
     assert inst.value_at(np.array([7.0])).is_empty
     with pytest.raises(OutOfDomainError):
         inst.subset_indices(np.array([[7.0]]))
+
+
+def test_instance_rejects_points_with_one_key():
+    # 0 and 1e-12 share a key, so value_at(0) could read the other value
+    cone = cone_orthant(2)
+    values = [UpperSet.from_point(cone, [float(i), 0.0]) for i in range(3)]
+    with pytest.raises(InvalidDimensionError):
+        FiniteInstance([[0.0], [1e-12], [1.0]], values, cone)
+    inst = FiniteInstance([[0.0], [1e-6], [1.0]], values, cone)
+    assert [inst.index_of([x]) for x in (0.0, 1e-6, 1.0)] == [0, 1, 2]
 
 
 def test_chain_minimizer_is_bottom_of_chain():

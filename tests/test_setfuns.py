@@ -44,6 +44,21 @@ def test_grid_membership_and_duplicates():
     assert g.index_of(np.array([1.5])) is None
     with pytest.raises(InvalidDimensionError):
         Grid(np.array([[0.0], [0.0]]))
+    # one key per point: coordinates rounded to 9 decimals
+    with pytest.raises(InvalidDimensionError):
+        Grid(np.array([[0.0], [1e-12], [1.0]]))
+    with pytest.raises(InvalidDimensionError):
+        Grid(np.array([[1.0, 2.0], [1.0 + 1e-12, 2.0]]))
+    p = np.array([0.7, 0.1])
+    g2 = Grid(np.stack([p, [0.0, 0.0]]))
+    centroid = np.mean([p, p, p], axis=0)  # as collect_candidate merges them
+    assert not np.array_equal(centroid, p)
+    assert g2.index_of(centroid) == 0
+    assert g2.index_of(np.nextafter(p, 1.0)) == 0
+    assert g2.index_of(p + 1e-6) is None
+    # a lookup of the wrong length is simply not found
+    assert g.index_of(np.array([1.0, 0.0])) is None
+    assert not g2.contains(np.array([0.7]))
 
 
 def test_from_vector_map_and_empty():

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from setopt.catalog import make_problem, pair_instance
 from setopt.cones import base_directions, cone_orthant, default_anchor, interior_base
-from setopt.errors import EmptyCandidateError, InfeasibleProblemError
+from setopt.errors import EmptyCandidateError, InfeasibleProblemError, InvalidDirectionError
 from setopt.oracle import enumerate_lattice_minimizers, random_instance
 from setopt.setfuns import (Box, CandidateSet, Grid, SetFunction,
                             convex_sample_points, evaluate, scalarize)
@@ -39,6 +39,66 @@ def test_grid_minimize_all_infeasible():
                                [UpperSet.empty(C2), UpperSet.empty(C2)])
     with pytest.raises(InfeasibleProblemError):
         scalar_minimize(f, np.array([1.0, 1.0]))
+
+
+def _loop_minima(f, base):
+    """Reference: the per-point, per-direction scalarize argmin loop."""
+    out = []
+    for z in base.directions:
+        values = np.array([scalarize(f, z, x) for x in f.space.points])
+        i = int(np.argmin(values))
+        out.append((f.space.points[i], float(values[i]), len(values)))
+    return out
+
+
+def _vector_map_grid(calls):
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.2, 3.0, size=(40, 2))
+
+    def fn(x):
+        calls.append(x)
+        if x[0] + x[1] > 5.0:
+            return None
+        return np.array([x[0] ** 2 + x[1], (x[1] - 1.0) ** 2 + np.sin(x[0])])
+    f = SetFunction.from_vector_map(Grid(pts), C2, fn)
+    return f, base_directions(C2, [1.0, 1.0], 40)
+
+
+def _table3d_grid(calls):
+    rng = np.random.default_rng(1)
+    c3 = cone_orthant(3)
+    xs = rng.uniform(0.0, 10.0, size=(30, 2))
+    values = [UpperSet(c3, rng.uniform(0.0, 4.0, size=(4, 3))) for _ in xs]
+    values[5] = UpperSet.empty(c3)
+    table = SetFunction.from_table(c3, xs, values)
+
+    def evaluator(x):
+        calls.append(x)
+        return evaluate(table, x)
+    f = SetFunction(table.space, c3, evaluator)
+    return f, base_directions(c3, default_anchor(c3), 7)
+
+
+@pytest.mark.parametrize("make", [_vector_map_grid, _table3d_grid],
+                         ids=["vector-map", "table3d"])
+def test_grid_sweep_matches_point_loop(make):
+    calls = []
+    f, base = make(calls)
+    results = sweep(f, base)
+    # one profile: each grid point evaluated once for all directions
+    assert len(calls) == len(f.space)
+    for r, (x, value, count) in zip(results, _loop_minima(f, base)):
+        assert np.array_equal(r.minimizer, x)
+        assert r.iterations == count and r.converged
+        assert abs(r.value - value) <= 4.5e-16 * abs(value)
+    z = base.directions[len(base) // 2]
+    one = scalar_minimize(f, z)
+    assert np.array_equal(one.minimizer, results[len(base) // 2].minimizer)
+    assert one.value == results[len(base) // 2].value
+    with pytest.raises(InvalidDirectionError):
+        scalar_minimize(f, -z)
+    with pytest.raises(InvalidDirectionError):
+        scalar_minimize(f, 0.0 * z)
 
 
 def test_box_minimize_hyperbola_interior_direction():
