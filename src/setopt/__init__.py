@@ -38,11 +38,9 @@ from .oracle import (CampaignReport, FiniteInstance, LemmaReport,
                      enumerate_lattice_minimizers, exact_inf, inf_translate,
                      minimizers_form_infimizer, random_cone_2d,
                      random_instance, translated_domain)
-from .calcvar import (Arc, Boundary, CvpOptions, CvpReport, CvpSolveResult,
+from .calcvar import (Arc, Boundary, CvpReport, CvpSolveResult,
                       Lagrangian, TestDirection, check_derivatives, cvp_sweep,
                       first_order_residual, linear_arc, objective,
                       random_test_directions, scalar_gradient,
                       scalar_objective, solve_sccvp)
 from . import catalog, jsonio
-
-__all__ = [name for name in dir() if not name.startswith("_")]

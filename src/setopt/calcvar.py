@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeMismatchError, InvalidDimensionError
+from .errors import DerivativeMismatchError, InputFormatError, InvalidDimensionError
+
+#: Descent stops at this sup-norm gradient.
+GRAD_TOL = 1e-8
+
+#: A probed perturbation may beat the collected values by at most this.
+PHI_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -36,18 +42,19 @@ class Lagrangian:
 
     @classmethod
     def checked(cls, fn, d_y, d_p, n: int, d: int, label: str = "lagrangian",
-                seed: int = 0, samples: int = 8, tol: float = 1e-6) -> "Lagrangian":
+                seed: int = 0) -> "Lagrangian":
         """Construct and validate the derivatives against central
         differences at seeded sample points."""
         lag = cls(fn, d_y, d_p, n, d, label)
-        check_derivatives(lag, seed=seed, samples=samples, tol=tol)
+        check_derivatives(lag, seed=seed)
         return lag
 
 
-def check_derivatives(lag: Lagrangian, seed: int = 0, samples: int = 8,
-                      tol: float = 1e-6) -> None:
-    """Compare analytic Lagrangian derivatives with central differences;
-    raises DerivativeMismatchError on mismatch beyond ``tol`` relative."""
+def check_derivatives(lag: Lagrangian, seed: int = 0) -> None:
+    """Compare analytic Lagrangian derivatives with central differences at
+    8 seeded points; raises DerivativeMismatchError on a mismatch beyond
+    1e-6 relative."""
+    samples = 8
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 1.0, size=samples)
     y = rng.uniform(-2.0, 2.0, size=(samples, lag.n))
@@ -60,16 +67,12 @@ def check_derivatives(lag: Lagrangian, seed: int = 0, samples: int = 8,
     for j in range(lag.n):
         dy = np.zeros_like(y)
         dy[:, j] = h
-        num = (np.asarray(lag.fn(t, y + dy, p)) - np.asarray(lag.fn(t, y - dy, p))) / (2 * h)
-        scale = np.maximum(1.0, np.abs(num))
-        if np.max(np.abs(num - ana_y[:, :, j]) / scale) > tol:
-            raise DerivativeMismatchError(
-                    f"d_y[{j}] disagrees with central differences")
-        num = (np.asarray(lag.fn(t, y, p + dy)) - np.asarray(lag.fn(t, y, p - dy))) / (2 * h)
-        scale = np.maximum(1.0, np.abs(num))
-        if np.max(np.abs(num - ana_p[:, :, j]) / scale) > tol:
-            raise DerivativeMismatchError(
-                    f"d_p[{j}] disagrees with central differences")
+        for name, ana, plus, minus in (("d_y", ana_y, (y + dy, p), (y - dy, p)),
+                                       ("d_p", ana_p, (y, p + dy), (y, p - dy))):
+            num = (np.asarray(lag.fn(t, *plus)) - np.asarray(lag.fn(t, *minus))) / (2 * h)
+            scale = np.maximum(1.0, np.abs(num))
+            if np.max(np.abs(num - ana[:, :, j]) / scale) > 1e-6:
+                raise DerivativeMismatchError(f"{name}[{j}] disagrees with central differences")
 
 
 @dataclass(frozen=True)
@@ -181,15 +184,6 @@ def scalar_gradient(lag: Lagrangian, zeta: np.ndarray, arc: Arc) -> np.ndarray:
 
 
 @dataclass
-class CvpOptions:
-    grad_tol: float = 1e-8
-    max_iter: int = 50000
-    diverge_floor: float = -1e12
-    armijo: float = 1e-4
-    memory: int = 10
-
-
-@dataclass
 class CvpSolveResult:
     direction: np.ndarray
     arc: Arc
@@ -200,14 +194,15 @@ class CvpSolveResult:
     note: str = ""
 
 
-def solve_sccvp(lag: Lagrangian, zeta, boundary: Boundary, N: int,
-                opts: CvpOptions | None = None,
-                start: Arc | None = None) -> CvpSolveResult:
+def solve_sccvp(lag: Lagrangian, zeta, boundary: Boundary, N: int, *,
+                grad_tol: float = GRAD_TOL, start: Arc | None = None) -> CvpSolveResult:
     """Minimize the zeta-scalarized objective over interior states by
     gradient descent with backtracking, stopping at sup-norm gradient
-    ``grad_tol``.  Unbounded descent and exhausted budgets come back with
+    ``grad_tol`` (which must be positive) within 50000 iterations.
+    Unbounded descent and exhausted budgets come back with
     ``converged=False``."""
-    opts = opts or CvpOptions()
+    if not grad_tol > 0:
+        raise InputFormatError(f"the gradient tolerance must be positive, got {grad_tol!r}")
     zeta = np.asarray(zeta, dtype=float)
     if zeta.shape != (lag.d,):
         raise InvalidDimensionError(f"direction must have length {lag.d}")
@@ -226,10 +221,10 @@ def solve_sccvp(lag: Lagrangian, zeta, boundary: Boundary, N: int,
     converged = False
     note = ""
     iterations = 0
-    while iterations < opts.max_iter:
+    while iterations < 50000:
         g = scalar_gradient(lag, zeta, Arc(times, x))
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm <= opts.grad_tol:
+        if gnorm <= grad_tol:
             converged = True
             break
         if prev_x is not None:
@@ -250,7 +245,7 @@ def solve_sccvp(lag: Lagrangian, zeta, boundary: Boundary, N: int,
             trial = x.copy()
             trial[1:-1] = x[1:-1] - t * g
             tval = value_of(trial)
-            if tval <= ref - opts.armijo * t * gsq:
+            if tval <= ref - 1e-4 * t * gsq:
                 break
             t *= 0.5
             if t < 1e-20:
@@ -261,10 +256,10 @@ def solve_sccvp(lag: Lagrangian, zeta, boundary: Boundary, N: int,
         prev_x, prev_g = x, g
         x, val = trial, tval
         recent.append(val)
-        if len(recent) > opts.memory:
+        if len(recent) > 10:
             recent.pop(0)
         iterations += 1
-        if val < opts.diverge_floor:
+        if val < -1e12:
             note = "objective diverging below the floor; suspected non-attainment"
             break
     else:
@@ -292,8 +287,7 @@ def first_order_residual(lag: Lagrangian, zeta, arc: Arc, directions) -> np.ndar
     return np.asarray(out)
 
 
-def random_test_directions(N: int, n: int, count: int, seed: int = 0,
-                           modes: int = 4) -> list[TestDirection]:
+def random_test_directions(N: int, n: int, count: int, seed: int = 0) -> list[TestDirection]:
     """Seeded admissible perturbations: smooth sine combinations and coarse
     random interior arcs, sup-normalized."""
     rng = np.random.default_rng(seed)
@@ -301,9 +295,9 @@ def random_test_directions(N: int, n: int, count: int, seed: int = 0,
     dirs: list[TestDirection] = []
     for i in range(count):
         if i % 2 == 0:
-            coef = rng.normal(size=(modes, n))
+            coef = rng.normal(size=(4, n))
             u = np.zeros((N + 1, n))
-            for m in range(modes):
+            for m in range(coef.shape[0]):
                 u += coef[m][None, :] * np.sin((m + 1) * math.pi * tau)[:, None]
         else:
             u = rng.uniform(-1.0, 1.0, size=(N + 1, n))
@@ -341,23 +335,22 @@ class CvpReport:
         return float(np.max(np.abs(finite))) if finite.size else math.inf
 
 
-def cvp_sweep(lag: Lagrangian, directions, boundary: Boundary, N: int,
-              opts: CvpOptions | None = None, *, phi_tol: float = 1e-4,
-              probe_count: int = 10, seed: int = 7,
-              residual_count: int = 20) -> CvpReport:
-    """Solve every scalarized direction, check first-order residuals on
-    seeded test directions, and check that no probed perturbation of the
-    collected arcs beats the collected optimal values (the scalarized
-    translation test at the zero perturbation)."""
-    opts = opts or CvpOptions()
+def cvp_sweep(lag: Lagrangian, directions, boundary: Boundary, N: int, *,
+              grad_tol: float = GRAD_TOL, phi_tol: float = PHI_TOL,
+              seed: int = 7) -> CvpReport:
+    """Solve every scalarized direction, check first-order residuals on 20
+    seeded test directions per arc, and check that no perturbation of the
+    collected arcs along 10 seeded probes beats the collected optimal
+    values by more than ``phi_tol`` (the scalarized translation test at
+    the zero perturbation)."""
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     rows: list[CvpSolveResult] = []
     residuals = []
     for k, zeta in enumerate(dirs):
-        res = solve_sccvp(lag, zeta, boundary, N, opts)
+        res = solve_sccvp(lag, zeta, boundary, N, grad_tol=grad_tol)
         rows.append(res)
         if res.converged:
-            tds = random_test_directions(N, lag.n, residual_count, seed=seed + k)
+            tds = random_test_directions(N, lag.n, 20, seed=seed + k)
             residuals.append(float(np.max(np.abs(
                 first_order_residual(lag, zeta, res.arc, tds)))))
         else:
@@ -365,7 +358,7 @@ def cvp_sweep(lag: Lagrangian, directions, boundary: Boundary, N: int,
     solved = [r for r in rows if r.converged]
     margin = math.inf
     if solved:
-        probe = random_test_directions(N, lag.n, probe_count, seed=seed + 9001)
+        probe = random_test_directions(N, lag.n, 10, seed=seed + 9001)
         scales = (0.3, 1.0)
         for zeta in dirs:
             best0 = min(scalar_objective(lag, zeta, r.arc) for r in solved)

@@ -1,8 +1,10 @@
-"""Named example problems.
+"""Named example problems, and the defaults of problems read from files.
 
 Each entry wires a set-valued objective to the box or grid it lives on,
 a default scalarization base, and a sensible starting point, so the
-command line and the tests speak about the same objects.
+command line and the tests speak about the same objects.  Tables and
+oracle instances from files get theirs from :func:`table_problem` and
+:func:`instance_inputs`.
 
 Catalog names: ``hyperbola``, ``linear_vop``, ``scalar_identity`` for the
 solve and verify commands, ``quadratic_cvp`` for the variational command.
@@ -15,11 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calcvar import Boundary, Lagrangian
-from .cones import DualBase, as_vector, base_directions, cone_orthant, interior_base
+from .cones import (Cone, DualBase, as_vector, base_directions, cone_orthant, default_anchor,
+                    interior_base)
 from .errors import InputFormatError
 from .oracle import FiniteInstance
 from .setfuns import Box, SetFunction
 from .uppersets import UpperSet
+
+#: Directions of a full base on a planar cone: the linear problem and
+#: planar tables.
+PLANAR_DIRECTIONS = 181
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ def make_problem(name: str, *, lower=None, upper=None) -> Problem:
                   upper if upper is not None else [3.0, 3.0])
         cone = cone_orthant(2)
         f = SetFunction.from_vector_map(box, cone, _linear_vop_map, label=name)
-        return Problem(name, f, np.array([1.0, 1.0]), "full", 181,
+        return Problem(name, f, np.array([1.0, 1.0]), "full", PLANAR_DIRECTIONS,
                        np.array([1.0, 1.0]),
                        "identity map on the wedge {x >= 0, x1 + x2 >= 1}; the "
                        "two vertices generate the infimum")
@@ -83,6 +90,16 @@ def make_problem(name: str, *, lower=None, upper=None) -> Problem:
     raise InputFormatError(f"unknown catalog problem {name!r}")
 
 
+def table_problem(setfn: SetFunction) -> Problem:
+    """A finite table with the defaults of a file problem: the cone's
+    default anchor, a full base (``PLANAR_DIRECTIONS`` directions on
+    planar cones, the anchor alone otherwise) and a zero start."""
+    cone = setfn.cone
+    return Problem(setfn.label, setfn, default_anchor(cone), "full",
+                   PLANAR_DIRECTIONS if cone.dim == 2 else 1,
+                   np.zeros(setfn.space.dim), "table problem")
+
+
 SOLVE_NAMES = ("hyperbola", "linear_vop", "scalar_identity")
 CVP_NAMES = ("quadratic_cvp",)
 
@@ -90,19 +107,24 @@ CVP_NAMES = ("quadratic_cvp",)
 def directions_for(problem: Problem, count: int | None = None,
                    anchor=None) -> DualBase:
     """The scalarization base for a problem at the requested direction
-    count and anchor (defaults: the problem's own).  Interior bases drop
-    the non-attaining extreme directions; a single direction, or a scalar
-    objective, gets the anchor itself scaled to ``w @ anchor == 1``."""
-    k = count if count is not None else problem.default_directions
-    if k < 1:
-        raise InputFormatError("need at least one direction")
+    count and anchor (defaults: the problem's own)."""
     cone = problem.setfn.cone
     anchor = problem.anchor if anchor is None else as_vector(anchor, cone.dim)
-    if problem.base_kind == "interior":
-        return interior_base(cone, anchor, k + 1)
-    if cone.dim == 1 or k == 1:
+    return _base(cone, anchor, problem.base_kind,
+                 count if count is not None else problem.default_directions)
+
+
+def _base(cone: Cone, anchor: np.ndarray, kind: str, count: int) -> DualBase:
+    """``count`` directions of the given kind.  Interior bases drop the
+    non-attaining extreme directions; a single direction, or a scalar
+    objective, gets the anchor itself scaled to ``w @ anchor == 1``."""
+    if count < 1:
+        raise InputFormatError("need at least one direction")
+    if kind == "interior":
+        return interior_base(cone, anchor, count + 1)
+    if cone.dim == 1 or count == 1:
         return DualBase(cone, anchor, np.atleast_2d(anchor / (anchor @ anchor)))
-    return base_directions(cone, anchor, k - 1)
+    return base_directions(cone, anchor, count - 1)
 
 
 def _quadratic_fn(t, y, p):
@@ -162,13 +184,12 @@ class CvpProblem:
     description: str
 
 
-def make_cvp(name: str, *, mesh: int | None = None, alphas=None) -> CvpProblem:
+def make_cvp(name: str) -> CvpProblem:
     if name == "quadratic_cvp":
         return CvpProblem(name, make_lagrangian("quadratic"),
-                       Boundary(0.0, 1.0, [0.0], [1.0]),
-                       mesh if mesh is not None else 100, cvp_directions(alphas),
-                       "curve energy vs displacement; every interior "
-                       "scalarization has a hyperbolic-sine solution")
+                          Boundary(0.0, 1.0, [0.0], [1.0]), 100, cvp_directions(),
+                          "curve energy vs displacement; every interior "
+                          "scalarization has a hyperbolic-sine solution")
     raise InputFormatError(f"unknown catalog variational problem {name!r}")
 
 
@@ -192,12 +213,11 @@ def pair_instance() -> FiniteInstance:
     return FiniteInstance(grid, values, cone, label="pair")
 
 
-def hyperbola_instance(count: int = 50, lo: float = 0.2,
-                       hi: float = 10.0) -> FiniteInstance:
-    """The reciprocal curve sampled at finitely many points; all values are
-    pairwise incomparable, so every point is a lattice minimizer."""
+def hyperbola_instance() -> FiniteInstance:
+    """The reciprocal curve sampled at 50 points of [0.2, 10]; all values
+    are pairwise incomparable, so every point is a lattice minimizer."""
     cone = cone_orthant(2)
-    ys = np.linspace(lo, hi, count)
+    ys = np.linspace(0.2, 10.0, 50)
     values = [UpperSet.from_point(cone, [y, 1.0 / y]) for y in ys]
     return FiniteInstance(ys[:, None], values, cone, label="hyperbola-instance")
 
@@ -213,3 +233,14 @@ def make_instance(name: str) -> FiniteInstance:
     if name == "hyperbola_instance":
         return hyperbola_instance()
     raise InputFormatError(f"unknown catalog instance {name!r}")
+
+
+def instance_inputs(inst: FiniteInstance, m=None, directions=None) -> tuple:
+    """An oracle instance with its check inputs: the subset ``m`` (default:
+    the whole grid) and the commutation directions (default: a full base
+    of five directions at the cone's default anchor)."""
+    if m is None:
+        m = inst.grid
+    if directions is None:
+        directions = _base(inst.cone, default_anchor(inst.cone), "full", 5).directions
+    return inst, m, directions

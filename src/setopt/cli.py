@@ -15,22 +15,22 @@ failed verification, 1 for input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import catalog, cones, jsonio
+from . import catalog, jsonio
 from ._version import __version__
-from .calcvar import CvpOptions, cvp_sweep
-from .cones import DualBase, default_anchor
+from .calcvar import GRAD_TOL, PHI_TOL, cvp_sweep
 from .errors import SetOptError
-from .oracle import (campaign_commutation, campaign_lemma, check_commutation,
-                     check_inf_translation_lemma, corrupting_override,
+from .oracle import (CAMPAIGN_SIZE, COMMUTATION_TOL, campaign_commutation, campaign_lemma,
+                     check_commutation, check_inf_translation_lemma, corrupting_override,
                      enumerate_lattice_minimizers)
-from .setfuns import CandidateSet
-from .solver import (MERGE_TOL, SearchOptions, collect_candidate, probe_points,
-                     sweep, verify_sc_solution)
+from .setfuns import CO_SAMPLES, CandidateSet
+from .solver import (MERGE_TOL, PROBE_RESOLUTION, SearchOptions, collect_candidate,
+                     probe_points, sweep, verify_sc_solution)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -70,9 +70,9 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
                    help="number of scalarization directions")
     p.add_argument("--anchor", default=None,
                    help="base anchor, comma separated")
-    p.add_argument("--probe-res", type=int, default=33,
+    p.add_argument("--probe-res", type=int, default=PROBE_RESOLUTION,
                    help="verification probe resolution per axis")
-    p.add_argument("--co-samples", type=int, default=32,
+    p.add_argument("--co-samples", type=int, default=CO_SAMPLES,
                    help="extra convex-combination samples in verification")
 
 
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="finite-instance brute-force checks")
     _add_common(po)
-    po.add_argument("--instances", type=int, default=200,
+    po.add_argument("--instances", type=int, default=CAMPAIGN_SIZE,
                     help="campaign size when no instance is given")
     po.add_argument("--inject-fault", action="store_true",
                     help="corrupt one translated value to exercise detection")
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--base-res", type=int, default=None,
                     help="number of scalarization directions")
     pc.add_argument("--mesh", type=int, default=None, help="mesh intervals")
-    pc.add_argument("--grad-tol", type=float, default=1e-8,
+    pc.add_argument("--grad-tol", type=float, default=GRAD_TOL,
                     help="gradient sup-norm stopping tolerance")
 
     pl = sub.add_parser("catalog", help="list built-in problems")
@@ -125,23 +125,15 @@ def _outdir(args) -> Path:
 
 
 def _load_problem(args):
-    """Problem plus extras from either --problem or --catalog."""
+    """(problem, verify set or None) from either --problem or --catalog."""
     if args.problem:
-        data = jsonio.load_json(args.problem)
-        fn, extras = jsonio.problem_from_dict(data)
-        prob = extras.get("problem")
-        if prob is None:
-            cone = fn.cone
-            prob = catalog.Problem(fn.label, fn, default_anchor(cone), "full",
-                                   181 if cone.dim == 2 else 1,
-                                   np.zeros(fn.space.dim), "table problem")
-        return prob, extras
+        return jsonio.problem_from_dict(jsonio.load_json(args.problem))
     if args.catalog:
-        return catalog.make_problem(args.catalog), {}
+        return catalog.make_problem(args.catalog), None
     raise SetOptError("need --problem or --catalog")
 
 
-def _base_for(prob, args) -> DualBase:
+def _base_for(prob, args):
     return catalog.directions_for(prob, args.base_res or None,
                                   _parse_vector(args.anchor) if args.anchor else None)
 
@@ -187,7 +179,13 @@ def _solution_payload(report, config, sweep_rows=None) -> dict:
     return payload
 
 
-def _emit_solution(args, prob, base, report, sweep_rows, prefix) -> None:
+def _verify_and_emit(args, prob, base, cand, results, prefix) -> int:
+    """Verify the candidate on the flags' probe, write the artifacts, and
+    return the verdict's exit code; ``results`` is the sweep, if any."""
+    probe = probe_points(prob.setfn.space, resolution=args.probe_res, seed=args.seed)
+    report = verify_sc_solution(prob.setfn, cand, base, probe, tol=args.tol,
+                                co_extra=args.co_samples, seed=args.seed)
+    sweep_rows = None if results is None else _sweep_rows(results, report.alphas)
     out = _outdir(args)
     formats = _formats(args)
     config = {
@@ -208,57 +206,35 @@ def _emit_solution(args, prob, base, report, sweep_rows, prefix) -> None:
         jsonio.support_csv(out / "support.csv", base, report.candidate_minima)
         if prob.setfn.cone.dim == 2:
             jsonio.polyline_csv(out / "infimum_polyline.csv", report.infimum)
+    return _VERDICT_CODE[report.verdict]
 
 
 def run_solve(args) -> int:
     prob, _ = _load_problem(args)
     base = _base_for(prob, args)
-    opts = SearchOptions(start=prob.start)
-    results = sweep(prob.setfn, base, opts)
-    cand = collect_candidate(results)
-    probe = probe_points(prob.setfn.space, resolution=args.probe_res,
-                         seed=args.seed)
-    report = verify_sc_solution(prob.setfn, cand, base, probe, tol=args.tol,
-                                co_extra=args.co_samples, seed=args.seed)
-    _emit_solution(args, prob, base, report,
-                   _sweep_rows(results, report.alphas), "solve")
-    return _VERDICT_CODE[report.verdict]
+    results = sweep(prob.setfn, base, SearchOptions(start=prob.start))
+    return _verify_and_emit(args, prob, base, collect_candidate(results), results, "solve")
 
 
 def run_verify(args) -> int:
-    prob, extras = _load_problem(args)
+    prob, m = _load_problem(args)
     if args.m is not None:
         m = _parse_points(args.m)
-    elif "m" in extras:
-        m = extras["m"]
-    else:
+    elif m is None:
         raise SetOptError("verify needs candidate points (--m or an 'm' field)")
     if m.size == 0:
         raise SetOptError("candidate set is empty")
     cand = CandidateSet(points=m, label="given")
-    base = _base_for(prob, args)
-    probe = probe_points(prob.setfn.space, resolution=args.probe_res,
-                         seed=args.seed)
-    report = verify_sc_solution(prob.setfn, cand, base, probe, tol=args.tol,
-                                co_extra=args.co_samples, seed=args.seed)
-    _emit_solution(args, prob, base, report, None, "verify")
-    return _VERDICT_CODE[report.verdict]
+    return _verify_and_emit(args, prob, _base_for(prob, args), cand, None, "verify")
 
 
 def _oracle_instance_payload(inst, m, dirs, args) -> tuple:
-    anchor = default_anchor(inst.cone)
-    if dirs is None:
-        dirs = cones.base_directions(inst.cone, anchor, 4).directions
-    if m is None:
-        m = inst.grid
-    override = None
-    if args.inject_fault:
-        override = corrupting_override(inst, m)
+    override = corrupting_override(inst, m) if args.inject_fault else None
     lemma = check_inf_translation_lemma(inst, m, seed=args.seed,
                                         fhat_override=override)
     gap = check_commutation(inst, m, dirs, fhat_override=override)
     minimizers = enumerate_lattice_minimizers(inst)
-    gap_ok = gap <= 1e-12
+    gap_ok = gap <= COMMUTATION_TOL
     payload = {
         "instance": {"label": inst.label, "points": inst.size},
         "lemma": lemma.as_dict(),
@@ -281,7 +257,7 @@ def run_oracle(args) -> int:
         if args.problem:
             inst, m, dirs = jsonio.instance_from_dict(jsonio.load_json(args.problem))
         else:
-            inst, m, dirs = catalog.make_instance(args.catalog), None, None
+            inst, m, dirs = catalog.instance_inputs(catalog.make_instance(args.catalog))
         body, ok = _oracle_instance_payload(inst, m, dirs, args)
         payload.update(body)
     else:
@@ -297,26 +273,21 @@ def run_oracle(args) -> int:
 
 def run_cvp(args) -> int:
     if args.problem:
-        lag, boundary, mesh, dirs = jsonio.cvp_from_dict(jsonio.load_json(args.problem))
-        name = args.problem
+        cvp = jsonio.cvp_from_dict(jsonio.load_json(args.problem))
     else:
         cvp = catalog.make_cvp(args.catalog or "quadratic_cvp")
-        lag, boundary, mesh, dirs = (cvp.lagrangian, cvp.boundary, cvp.mesh,
-                                     cvp.directions)
-        name = cvp.name
     if args.mesh:
-        mesh = args.mesh
+        cvp = dataclasses.replace(cvp, mesh=args.mesh)
     if args.base_res:
-        dirs = catalog.cvp_directions(count=args.base_res)
-    phi_tol = args.tol if args.tol is not None else 1e-4
-    opts = CvpOptions(grad_tol=args.grad_tol)
-    report = cvp_sweep(lag, dirs, boundary, mesh, opts, phi_tol=phi_tol,
-                       seed=args.seed)
+        cvp = dataclasses.replace(cvp, directions=catalog.cvp_directions(count=args.base_res))
+    phi_tol = args.tol if args.tol is not None else PHI_TOL
+    report = cvp_sweep(cvp.lagrangian, cvp.directions, cvp.boundary, cvp.mesh,
+                       grad_tol=args.grad_tol, phi_tol=phi_tol, seed=args.seed)
     out = _outdir(args)
     formats = _formats(args)
-    config = {"command": "cvp", "problem": name, "mesh": mesh,
+    config = {"command": "cvp", "problem": args.problem or cvp.name, "mesh": cvp.mesh,
               "grad_tol": args.grad_tol, "phi_tol": phi_tol, "seed": args.seed,
-              "directions": len(dirs)}
+              "directions": len(cvp.directions)}
     if "json" in formats:
         payload = jsonio.base_report(config)
         payload.update({
@@ -350,8 +321,8 @@ def run_catalog(args) -> int:
         lines.append(f"  {name}: {catalog.make_cvp(name).description}")
     lines.append("finite oracle instances:")
     for name in catalog.INSTANCE_NAMES:
-        lines.append(f"  {name}: {catalog.make_instance(name).label}, "
-                     f"{catalog.make_instance(name).size} points")
+        inst = catalog.make_instance(name)
+        lines.append(f"  {name}: {inst.label}, {inst.size} points")
     print("\n".join(lines))
     return EXIT_OK
 

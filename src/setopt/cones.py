@@ -229,14 +229,14 @@ def cone_generated(primal, dual) -> Cone:
     return Cone(primal, dual, kind="generated")
 
 
-def dual_contains(cone: Cone, zstar, tol: float = TOL_GEOM) -> bool:
+def dual_contains(cone: Cone, zstar) -> bool:
     """True iff ``zstar`` lies in the dual cone, i.e. has inner product
-    >= -tol with every primal generator (scaled by the vector norms)."""
+    >= -TOL_GEOM with every primal generator (scaled by the vector norms)."""
     z = as_vector(zstar, cone.dim)
     nz = np.linalg.norm(z)
     if nz == 0.0:
         return True
-    return bool(np.min(cone.unit_primal @ (z / nz)) >= -tol)
+    return bool(np.min(cone.unit_primal @ (z / nz)) >= -TOL_GEOM)
 
 
 class DualBase:
@@ -370,14 +370,10 @@ def reflected(cone: Cone) -> Cone:
 
 
 def default_anchor(cone: Cone) -> np.ndarray:
-    """An interior anchor for dual-base construction.
-
-    The all-ones vector for orthants, otherwise the sum of the normalized
-    primal generators (validated to be strictly positive on every dual
-    generator).
+    """An interior anchor for dual-base construction: the sum of the
+    normalized primal generators (the all-ones vector for orthants),
+    validated to be strictly positive on every dual generator.
     """
-    if cone.kind == "orthant":
-        return np.ones(cone.dim)
     anchor = np.sum(cone.unit_primal, axis=0)
     for z in cone.dual:
         if float(z @ anchor) <= TOL_GEOM * np.linalg.norm(z) * np.linalg.norm(anchor):

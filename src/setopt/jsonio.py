@@ -22,12 +22,14 @@ Schemas:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
+from . import catalog
 from ._version import __version__
 from .calcvar import Boundary
 from .cones import Cone, cone_generated, cone_orthant
@@ -118,56 +120,51 @@ def _table_entries(table, cone):
     return np.stack(xs), vals
 
 
-def problem_from_dict(d: dict):
-    """Build the objective of a problem file; returns (SetFunction, extras)
-    where extras carries the optional verify set and overrides."""
-    from . import catalog
+def _points(d: dict, key: str):
+    """The optional point list ``d[key]`` as rows, or None."""
+    return np.atleast_2d(np.asarray(d[key], dtype=float)) if key in d else None
 
+
+def problem_from_dict(d: dict):
+    """A problem file as (catalog Problem, verify set ``m`` or None).  A
+    catalog objective keeps its catalog defaults, on the file's ``space``
+    when one is given; a table gets :func:`catalog.table_problem`'s."""
     if "objective" not in d:
         raise InputFormatError("problem needs an 'objective' field")
     obj = d["objective"]
-    extras = {}
-    if "m" in d:
-        extras["m"] = np.atleast_2d(np.asarray(d["m"], dtype=float))
     if isinstance(obj, dict) and "catalog" in obj:
         params = obj.get("params", {}) or {}
         prob = catalog.make_problem(obj["catalog"], **params)
         if "space" in d:
-            space = _space_from_dict(d["space"])
-            fn = SetFunction.from_vector_map(space, prob.setfn.cone,
+            fn = SetFunction.from_vector_map(_space_from_dict(d["space"]), prob.setfn.cone,
                                              prob.setfn.vector_map, label=prob.name)
-            prob = catalog.Problem(prob.name, fn, prob.anchor, prob.base_kind,
-                                   prob.default_directions, prob.start,
-                                   prob.description)
-        extras["problem"] = prob
-        return prob.setfn, extras
+            prob = dataclasses.replace(prob, setfn=fn)
+        return prob, _points(d, "m")
     if isinstance(obj, dict) and "table" in obj:
         if "cone" not in d:
             raise InputFormatError("table problems need a 'cone' field")
         cone = cone_from_dict(d["cone"])
         xs, vals = _table_entries(obj["table"], cone)
         fn = SetFunction.from_table(cone, xs, vals, label=d.get("label", "table"))
-        return fn, extras
+        return catalog.table_problem(fn), _points(d, "m")
     raise InputFormatError("objective needs either 'catalog' or 'table'")
 
 
 def instance_from_dict(d: dict):
-    """Finite oracle instance: (instance, m points or None, directions or None)."""
+    """Finite oracle instance as (instance, m, directions), the two absent
+    fields defaulted by :func:`catalog.instance_inputs`."""
     if "cone" not in d or "table" not in d:
         raise InputFormatError("instance needs 'cone' and 'table'")
     cone = cone_from_dict(d["cone"])
     xs, vals = _table_entries(d["table"], cone)
     inst = FiniteInstance(xs, vals, cone, label=d.get("label", "instance"))
-    m = np.atleast_2d(np.asarray(d["m"], dtype=float)) if "m" in d else None
-    dirs = np.atleast_2d(np.asarray(d["directions"], dtype=float)) \
-        if "directions" in d else None
-    return inst, m, dirs
+    return catalog.instance_inputs(inst, _points(d, "m"), _points(d, "directions"))
 
 
-def cvp_from_dict(d: dict):
-    """Variational problem: (lagrangian, boundary, mesh, alphas or directions)."""
-    from . import catalog
-
+def cvp_from_dict(d: dict) -> catalog.CvpProblem:
+    """Variational problem file as a :class:`catalog.CvpProblem`; the
+    directions default to :func:`catalog.cvp_directions` of the file's
+    optional ``alphas``."""
     for key in ("a", "b", "A", "B", "N", "lagrangian"):
         if key not in d:
             raise InputFormatError(f"variational problem needs {key!r}")
@@ -185,12 +182,11 @@ def cvp_from_dict(d: dict):
     boundary = Boundary(float(d["a"]), float(d["b"]), d["A"], d["B"])
     if boundary.A.shape[0] != lag.n:
         raise InputFormatError("endpoint dimension disagrees with the Lagrangian")
-    mesh = int(d["N"])
-    if "directions" in d:
-        dirs = np.atleast_2d(np.asarray(d["directions"], dtype=float))
-    else:
+    dirs = _points(d, "directions")
+    if dirs is None:
         dirs = catalog.cvp_directions(d.get("alphas"))
-    return lag, boundary, mesh, dirs
+    return catalog.CvpProblem(lag.label, lag, boundary, int(d["N"]), dirs,
+                              "variational problem file")
 
 
 def _clean(obj):
@@ -252,9 +248,8 @@ def write_csv(path, header, rows) -> None:
 def support_csv(path, base, values) -> None:
     """Direction table mapping each scalarization to its optimal value: the
     support data of the infimum."""
-    dirs = base.directions if hasattr(base, "directions") else np.atleast_2d(base)
-    header = [f"z{i + 1}" for i in range(dirs.shape[1])] + ["value"]
-    rows = [list(z) + [v] for z, v in zip(dirs, values)]
+    header = [f"z{i + 1}" for i in range(base.cone.dim)] + ["value"]
+    rows = [list(z) + [v] for z, v in zip(base.directions, values)]
     write_csv(path, header, rows)
 
 

@@ -21,10 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Cone, cone_orthant, cone_generated, as_matrix, as_vector, unique_rows
-from .errors import InvalidDimensionError, OutOfDomainError
+from .cones import (Cone, cone_orthant, cone_generated, as_matrix, as_vector, dual_contains,
+                    unique_rows)
+from .errors import InvalidDimensionError, InvalidDirectionError, OutOfDomainError
 from .setfuns import Grid
 from .uppersets import UpperSet, equals, lattice_inf, oplus, order_geq, support
+
+#: Largest commutation gap that still counts as commuting.
+COMMUTATION_TOL = 1e-12
+
+#: Instances in a commutation campaign unless the caller says otherwise.
+CAMPAIGN_SIZE = 200
+
 
 @dataclass(frozen=True)
 class FiniteInstance:
@@ -97,7 +105,7 @@ def exact_inf(inst: FiniteInstance, subset=None):
     return g_inf, f_gens
 
 
-def enumerate_lattice_minimizers(inst: FiniteInstance, tol: float = 1e-9) -> np.ndarray:
+def enumerate_lattice_minimizers(inst: FiniteInstance) -> np.ndarray:
     """All grid points with no strictly smaller value anywhere on the grid,
     by exhaustive pairwise comparison."""
     keep = []
@@ -108,7 +116,7 @@ def enumerate_lattice_minimizers(inst: FiniteInstance, tol: float = 1e-9) -> np.
             if i == j:
                 continue
             vj = inst.values[j]
-            if order_geq(vi, vj, tol) and not equals(vi, vj, tol):
+            if order_geq(vi, vj) and not equals(vi, vj):
                 minimal = False
                 break
         if minimal:
@@ -116,14 +124,14 @@ def enumerate_lattice_minimizers(inst: FiniteInstance, tol: float = 1e-9) -> np.
     return inst.grid[keep]
 
 
-def minimizers_form_infimizer(inst: FiniteInstance, tol: float = 1e-9) -> bool:
+def minimizers_form_infimizer(inst: FiniteInstance) -> bool:
     """Whether the enumerated minimizers already attain the grid infimum."""
-    mins = enumerate_lattice_minimizers(inst, tol)
+    mins = enumerate_lattice_minimizers(inst)
     if mins.shape[0] == 0:
         return False
     total, _ = exact_inf(inst)
     part, _ = exact_inf(inst, mins)
-    return equals(total, part, tol)
+    return equals(total, part)
 
 
 def inf_translate(inst: FiniteInstance, x, subset_idx) -> UpperSet:
@@ -184,13 +192,12 @@ class LemmaReport:
         }
 
 
-def _superset_family(inst: FiniteInstance, m_idx, power_limit: int,
-                     sample_count: int, seed: int, extra=()):
+def _superset_family(inst: FiniteInstance, m_idx, seed: int, extra=()):
     """Index subsets between m and the grid: the full power set of the
-    complement when small enough, otherwise a seeded sample (always
-    including m, the grid, and any explicitly requested sets)."""
+    complement when it has at most 4096 members, otherwise 64 seeded
+    samples (always including m, the grid, and any requested sets)."""
     rest = [i for i in range(inst.size) if i not in m_idx]
-    if 2 ** len(rest) <= power_limit:
+    if 2 ** len(rest) <= 4096:
         fams = []
         for r in range(len(rest) + 1):
             for combo in itertools.combinations(rest, r):
@@ -200,15 +207,13 @@ def _superset_family(inst: FiniteInstance, m_idx, power_limit: int,
     fams = {tuple(sorted(m_idx)), tuple(range(inst.size))}
     for e in extra:
         fams.add(tuple(sorted(e)))
-    while len(fams) < sample_count:
+    while len(fams) < 64:
         mask = rng.random(len(rest)) < rng.uniform(0.1, 0.9)
         fams.add(tuple(sorted(set(m_idx) | {rest[i] for i in np.nonzero(mask)[0]})))
     return sorted(fams), "sampled"
 
 
-def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
-                                power_limit: int = 4096, sample_count: int = 64,
-                                seed: int = 0, tol: float = 1e-9,
+def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *, seed: int = 0,
                                 fhat_override=None) -> LemmaReport:
     """Exhaustively check the translation identities on a finite instance.
 
@@ -235,7 +240,7 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     dom_union = unique_rows(np.vstack([dom_m, dom_n]))
     witness = None
     for x in dom_union:
-        if not order_geq(fhat(x, m_idx), fhat(x, n_idx), tol):
+        if not order_geq(fhat(x, m_idx), fhat(x, n_idx)):
             witness = f"antitonicity fails at x={x.tolist()}"
             break
     clauses.append(ClauseResult("a_antitone", witness is None, witness))
@@ -243,7 +248,7 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     # (b) translating never changes the reachable infimum
     total_inf, _ = exact_inf(inst)
     hat_inf = lattice_inf([fhat(x, m_idx) for x in dom_m])
-    ok = equals(hat_inf, total_inf, tol)
+    ok = equals(hat_inf, total_inf)
     clauses.append(ClauseResult(
         "b_inf_preserved", ok,
         None if ok else "translated infimum differs from the grid infimum"))
@@ -251,16 +256,15 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     # (c1) <=> (c2): m attains the infimum iff the translated function
     # attains it at the origin
     m_inf, _ = exact_inf(inst, inst.grid[list(m_idx)])
-    c1 = equals(m_inf, total_inf, tol)
+    c1 = equals(m_inf, total_inf)
     at_zero = fhat(zero, m_idx)
-    c2 = equals(at_zero, hat_inf, tol)
+    c2 = equals(at_zero, hat_inf)
     ok = c1 == c2
     clauses.append(ClauseResult(
         "c1_iff_c2", ok,
         None if ok else f"c1={c1} but c2={c2}"))
 
-    fams, mode = _superset_family(inst, m_idx, power_limit, sample_count, seed,
-                                  extra=[n_idx])
+    fams, mode = _superset_family(inst, m_idx, seed, extra=[n_idx])
 
     # origin values of the tested supersets, shared by c3 and c4
     origins = [fhat(zero, s) for s in fams] if c1 else []
@@ -270,12 +274,12 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     witness = None
     if c1:
         for s, origin in zip(fams, origins):
-            if not equals(at_zero, origin, tol):
+            if not equals(at_zero, origin):
                 witness = f"origin value moved for superset {list(s)}"
                 break
         ok = witness is None
     else:
-        ok = any(not equals(at_zero, fhat(zero, s), tol) for s in fams)
+        ok = any(not equals(at_zero, fhat(zero, s)) for s in fams)
         witness = None if ok else "no tested superset separates a non-infimizer"
     clauses.append(ClauseResult("c3_supersets", ok, witness))
 
@@ -286,12 +290,12 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *,
     witness = None
     if c1:
         for s, origin in zip(fams, origins):
-            if not equals(origin, total_inf, tol):
+            if not equals(origin, total_inf):
                 witness = f"origin misses the translated infimum for superset {list(s)}"
                 break
         ok = witness is None
     else:
-        ok = not equals(at_zero, total_inf, tol)
+        ok = not equals(at_zero, total_inf)
         witness = None if ok else "origin attains the translated infimum despite c1 failing"
     clauses.append(ClauseResult("c4_supersets", ok, witness))
 
@@ -303,9 +307,13 @@ def check_commutation(inst: FiniteInstance, m, directions,
     """Largest gap between scalarizing the translated value and translating
     the scalarization, over the translated domain and the given directions.
     Both routes use the +infinity convention for empty values; two infinite
-    values count as a zero gap."""
+    values count as a zero gap.  Directions outside the dual cone, where
+    both routes are -infinity and agree vacuously, are an error."""
     m_idx = inst.subset_indices(m)
     dirs = as_matrix(directions, inst.cone.dim)
+    for z in dirs:
+        if not dual_contains(inst.cone, z):
+            raise InvalidDirectionError(f"direction {z.tolist()} lies outside the dual cone")
     dom = translated_domain(inst, m_idx)
     worst = 0.0
     for x in dom:
@@ -320,13 +328,14 @@ def check_commutation(inst: FiniteInstance, m, directions,
     return worst
 
 
-def corrupting_override(inst: FiniteInstance, m, shift: float = -0.5):
+def corrupting_override(inst: FiniteInstance, m):
     """An override that falsifies the translated value at the origin for
-    the given subset (shifting it strictly down the ordering).  The checks
+    the given subset (shifting it by -0.5 per axis, strictly down the
+    ordering).  The checks
     recompute everything honestly, so a corrupted precomputed value is the
     only way to exercise their failure reporting."""
     target = frozenset(inst.subset_indices(m))
-    bump = UpperSet.from_point(inst.cone, np.full(inst.cone.dim, shift))
+    bump = UpperSet.from_point(inst.cone, np.full(inst.cone.dim, -0.5))
 
     def override(x, subset):
         if subset == target and float(np.max(np.abs(x))) < 1e-12:
@@ -337,10 +346,10 @@ def corrupting_override(inst: FiniteInstance, m, shift: float = -0.5):
     return override
 
 
-def random_cone_2d(rng: np.random.Generator, orthant_rate: float = 0.5) -> Cone:
+def random_cone_2d(rng: np.random.Generator) -> Cone:
     """A seeded planar ordering cone: the orthant, or a pointed cone spanned
     by two rays separated by an angle in (0.2 pi, 0.8 pi)."""
-    if rng.random() < orthant_rate:
+    if rng.random() < 0.5:
         return cone_orthant(2)
     theta = rng.uniform(0.0, 2.0 * math.pi)
     spread = rng.uniform(0.2 * math.pi, 0.8 * math.pi)
@@ -355,8 +364,7 @@ def random_cone_2d(rng: np.random.Generator, orthant_rate: float = 0.5) -> Cone:
     return cone_generated([g1, g2], [n1, n2])
 
 
-def random_instance(rng: np.random.Generator, max_points: int = 20,
-                    max_gens: int = 5, empty_rate: float = 0.1):
+def random_instance(rng: np.random.Generator, max_points: int = 20):
     """A seeded random finite instance plus a random nonempty subset and
     a few directions from the dual cone."""
     cone = random_cone_2d(rng)
@@ -364,10 +372,10 @@ def random_instance(rng: np.random.Generator, max_points: int = 20,
     grid = rng.uniform(-3.0, 3.0, size=(k, 2))
     values = []
     for _ in range(k):
-        if rng.random() < empty_rate:
+        if rng.random() < 0.1:
             values.append(UpperSet.empty(cone))
         else:
-            g = rng.normal(0.0, 2.0, size=(int(rng.integers(1, max_gens + 1)), 2))
+            g = rng.normal(0.0, 2.0, size=(int(rng.integers(1, 6)), 2))
             values.append(UpperSet(cone, g))
     inst = FiniteInstance(grid, values, cone, label="random")
     msize = int(rng.integers(1, min(5, k) + 1))
@@ -380,12 +388,17 @@ def random_instance(rng: np.random.Generator, max_points: int = 20,
 
 @dataclass
 class CampaignReport:
-    """Aggregate result of a seeded campaign over random instances."""
+    """Aggregate result of a seeded campaign over random instances.  A
+    campaign of no instances would pass vacuously, so it is refused."""
 
     count: int
     seed: int
     max_gap: float = 0.0
     failures: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise InvalidDimensionError(f"a campaign needs at least one instance, got {self.count}")
 
     @property
     def passed(self) -> bool:
@@ -396,27 +409,25 @@ class CampaignReport:
                 "passed": self.passed, "failures": self.failures}
 
 
-def campaign_commutation(count: int = 200, seed: int = 7,
-                         max_points: int = 20, tol: float = 1e-12) -> CampaignReport:
+def campaign_commutation(count: int = CAMPAIGN_SIZE, seed: int = 7) -> CampaignReport:
     """Seeded sweep of random instances; records the worst commutation gap."""
     rng = np.random.default_rng(seed)
     rep = CampaignReport(count=count, seed=seed)
     for i in range(count):
-        inst, m, dirs = random_instance(rng, max_points=max_points)
+        inst, m, dirs = random_instance(rng)
         gap = check_commutation(inst, m, dirs)
         rep.max_gap = max(rep.max_gap, gap)
-        if gap > tol:
+        if gap > COMMUTATION_TOL:
             rep.failures.append({"instance": i, "gap": gap})
     return rep
 
 
-def campaign_lemma(count: int = 100, seed: int = 11,
-                   max_points: int = 16) -> CampaignReport:
+def campaign_lemma(count: int = 100, seed: int = 11) -> CampaignReport:
     """Seeded sweep of random instances through every lemma clause."""
     rng = np.random.default_rng(seed)
     rep = CampaignReport(count=count, seed=seed)
     for i in range(count):
-        inst, m, _ = random_instance(rng, max_points=max_points)
+        inst, m, _ = random_instance(rng, max_points=16)
         report = check_inf_translation_lemma(inst, m, seed=seed + i)
         if not report.passed:
             rep.failures.append({

@@ -33,6 +33,10 @@ from .errors import (
 )
 from .uppersets import UpperSet, lattice_inf, lattice_sup_2d, support
 
+#: Seeded random convex combinations that sample a candidate's hull, in
+#: translations of convexified candidates and in the verifier's hull gap.
+CO_SAMPLES = 32
+
 
 class Box:
     """An axis-aligned box ``{x : lower <= x <= upper}``."""
@@ -46,9 +50,9 @@ class Box:
             raise InvalidDimensionError("box needs lower <= upper componentwise")
         self.dim = self.lower.shape[0]
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, self.dim)
-        slack = tol * np.maximum(1.0, np.abs(self.upper - self.lower))
+        slack = 1e-12 * np.maximum(1.0, np.abs(self.upper - self.lower))
         return bool(np.all(x >= self.lower - slack) and np.all(x <= self.upper + slack))
 
     def clip(self, x) -> np.ndarray:
@@ -208,7 +212,7 @@ class CandidateSet:
         return self.points.shape[0]
 
 
-def convex_sample_points(points: np.ndarray, extra: int = 32, seed: int = 0) -> np.ndarray:
+def convex_sample_points(points: np.ndarray, extra: int = CO_SAMPLES, seed: int = 0) -> np.ndarray:
     """Barycentric samples of the convex hull of ``points``: the points,
     all pairwise midpoints, and ``extra`` seeded random convex combinations."""
     pts = as_matrix(points)
@@ -224,13 +228,13 @@ def convex_sample_points(points: np.ndarray, extra: int = 32, seed: int = 0) -> 
     return np.concatenate(out, axis=0)
 
 
-def _translation_points(f: SetFunction, m: CandidateSet, co_extra: int, seed: int) -> np.ndarray:
+def _translation_points(f: SetFunction, m: CandidateSet, seed: int) -> np.ndarray:
     if len(m) == 0:
         raise EmptyCandidateError("translation needs a nonempty candidate set")
     if m.points.shape[1] != f.space.dim:
         raise InvalidDimensionError("candidate points must live in the variable space")
     if m.convexified:
-        return convex_sample_points(m.points, extra=co_extra, seed=seed)
+        return convex_sample_points(m.points, seed=seed)
     return m.points
 
 
@@ -243,11 +247,10 @@ def _translated_space(space: VarSpace, ys: np.ndarray) -> VarSpace:
     return Grid(unique_rows(shifted.reshape(-1, space.dim)))
 
 
-def inf_translation(f: SetFunction, m: CandidateSet, *, co_extra: int = 32,
-                    seed: int = 0) -> SetFunction:
+def inf_translation(f: SetFunction, m: CandidateSet, *, seed: int = 0) -> SetFunction:
     """The pointwise lattice infimum of the M-translates
     ``x -> inf {f(x + y) : y in M}``."""
-    ys = _translation_points(f, m, co_extra, seed)
+    ys = _translation_points(f, m, seed)
     space = _translated_space(f.space, ys)
 
     def evaluator(x: np.ndarray) -> UpperSet:
@@ -258,14 +261,14 @@ def inf_translation(f: SetFunction, m: CandidateSet, *, co_extra: int = 32,
 
 
 def scalarized_inf_translation(f: SetFunction, m: CandidateSet, zstar, x, *,
-                               co_extra: int = 32, seed: int = 0) -> float:
+                               seed: int = 0) -> float:
     """The scalarized inf-translation ``min {phi(x + y) : y in M}`` where
     phi is the z*-scalarization of f.  Commutes exactly with scalarizing
     the set-level inf-translation."""
     z = as_vector(zstar, f.cone.dim)
     if not dual_contains(f.cone, z):
         raise InvalidDirectionError(f"{z.tolist()} lies outside the dual cone")
-    ys = _translation_points(f, m, co_extra, seed)
+    ys = _translation_points(f, m, seed)
     x = as_vector(x, f.space.dim)
     return min(_scalarize_or_inf(f, z, x + y) for y in ys)
 
@@ -283,8 +286,7 @@ def _join_via_reflected_min(cone: Cone, points: np.ndarray) -> np.ndarray:
     return g @ (-reflected_min)
 
 
-def sup_translation(f: SetFunction, m: CandidateSet, *, co_extra: int = 32,
-                    seed: int = 0) -> SetFunction:
+def sup_translation(f: SetFunction, m: CandidateSet, *, seed: int = 0) -> SetFunction:
     """The pointwise lattice supremum of the M-translates
     ``x -> sup {f(x + y) : y in M}`` (intersection of values).
 
@@ -292,7 +294,7 @@ def sup_translation(f: SetFunction, m: CandidateSet, *, co_extra: int = 32,
     singleton-generated values over simplicial cones are supported, via
     the reflected-minimization join.
     """
-    ys = _translation_points(f, m, co_extra, seed)
+    ys = _translation_points(f, m, seed)
     space = _translated_space(f.space, ys)
     cone = f.cone
     # Constructed eagerly so invalid reflections fail at build time.

@@ -24,6 +24,7 @@ from .errors import EmptyCandidateError, InfeasibleProblemError, InvalidDirectio
 from .setfuns import (
     Box,
     CandidateSet,
+    CO_SAMPLES,
     Grid,
     ScalarizationProfile,
     SetFunction,
@@ -40,6 +41,12 @@ TOL_VAL_BOX = 1e-3
 #: Distance within which sweep minimizers merge into one candidate point.
 MERGE_TOL = 1e-5
 
+#: The compass search on boxes stops once its relative step is below this.
+STEP_TOL = 1e-8
+
+#: Offset-lattice points per axis of a box verification probe.
+PROBE_RESOLUTION = 33
+
 
 def default_tol(space) -> float:
     return TOL_VAL_GRID if isinstance(space, Grid) else TOL_VAL_BOX
@@ -50,10 +57,6 @@ class SearchOptions:
     """Options for :func:`scalar_minimize` on box spaces."""
 
     start: np.ndarray | None = None
-    step_init: float = 0.25
-    step_tol: float = 1e-8
-    max_evals: int = 200000
-    scan_resolution: int = 17
 
 
 @dataclass
@@ -62,7 +65,6 @@ class ScalarMinResult:
     minimizer: np.ndarray | None
     value: float
     iterations: int
-    step_at_exit: float
     converged: bool
     note: str = ""
 
@@ -72,9 +74,11 @@ def scalar_minimize(f: SetFunction, zstar, opts: SearchOptions | None = None) ->
 
     A grid is a one-direction :func:`sweep`.  Boxes run a compass pattern
     search (axis and paired-diagonal directions, expansion x2, contraction
-    x0.5, relative step) from a feasible start; a minimizer pinned to a box
-    face with the descent direction pointing out of the box is flagged as
-    suspected non-attainment (``converged=False``).
+    x0.5, relative step from 0.25 down to ``STEP_TOL``, at most 200000
+    evaluations) from ``opts.start`` when feasible, else from the best
+    point of a 17-per-axis scan; a minimizer pinned to a box face with the
+    descent direction pointing out of the box is flagged as suspected
+    non-attainment (``converged=False``).
     """
     opts = opts or SearchOptions()
     z = as_vector(zstar, f.cone.dim)
@@ -83,17 +87,17 @@ def scalar_minimize(f: SetFunction, zstar, opts: SearchOptions | None = None) ->
             raise InvalidDirectionError("the zero direction scalarizes nothing")
         # Anchored at z / |z|^2, the one-direction base holds z itself.
         return sweep(f, DualBase(f.cone, z / (z @ z), [z]))[0]
-    return _compass_search(f, z, opts)
+    return _compass_search(f, z, opts.start)
 
 
-def _feasible_start(f: SetFunction, z: np.ndarray, opts: SearchOptions) -> tuple[np.ndarray, float]:
+def _feasible_start(f: SetFunction, z: np.ndarray, start) -> tuple[np.ndarray, float]:
     box: Box = f.space
-    if opts.start is not None:
-        x0 = box.clip(opts.start)
+    if start is not None:
+        x0 = box.clip(start)
         v0 = _scalarize_or_inf(f, z, x0)
         if math.isfinite(v0):
             return x0, v0
-    axes = [np.linspace(lo, hi, opts.scan_resolution)
+    axes = [np.linspace(lo, hi, 17)
             for lo, hi in zip(box.lower, box.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -122,15 +126,15 @@ def _pattern_directions(n: int) -> np.ndarray:
     return np.stack(dirs)
 
 
-def _compass_search(f: SetFunction, z: np.ndarray, opts: SearchOptions) -> ScalarMinResult:
+def _compass_search(f: SetFunction, z: np.ndarray, start) -> ScalarMinResult:
     box: Box = f.space
     n = box.dim
     scale = np.maximum(box.upper - box.lower, 1e-30) / 2.0
-    x, value = _feasible_start(f, z, opts)
+    x, value = _feasible_start(f, z, start)
     pattern = _pattern_directions(n)
-    step = opts.step_init
+    step = 0.25
     evals = 0
-    while step >= opts.step_tol and evals < opts.max_evals:
+    while step >= STEP_TOL and evals < 200000:
         improved = False
         for d in pattern:
             cand = box.clip(x + step * d * scale)
@@ -145,22 +149,20 @@ def _compass_search(f: SetFunction, z: np.ndarray, opts: SearchOptions) -> Scala
             step = min(step * 2.0, 1.0)
         else:
             step *= 0.5
-    converged = step < opts.step_tol
+    converged = step < STEP_TOL
     note = "" if converged else "evaluation budget exhausted"
-    if converged and _pinned_descending(f, z, x, value, opts):
+    if converged and _pinned_descending(f, z, x, value):
         converged = False
         note = "suspected non-attainment: descent pinned at the box boundary"
-    return ScalarMinResult(z, x, value, iterations=evals,
-                           step_at_exit=step, converged=converged, note=note)
+    return ScalarMinResult(z, x, value, iterations=evals, converged=converged, note=note)
 
 
-def _pinned_descending(f: SetFunction, z: np.ndarray, x: np.ndarray, value: float,
-                       opts: SearchOptions) -> bool:
+def _pinned_descending(f: SetFunction, z: np.ndarray, x: np.ndarray, value: float) -> bool:
     """True when x sits on a box face and moving back inside strictly
     worsens the value: the infimum is suspected to live outside the box."""
     box: Box = f.space
     scale = np.maximum(box.upper - box.lower, 1e-30) / 2.0
-    face_tol = np.maximum(10.0 * opts.step_tol * scale, 1e-12)
+    face_tol = np.maximum(10.0 * STEP_TOL * scale, 1e-12)
     probe_step = 1e-4 * scale
     for i in range(box.dim):
         if box.upper[i] - box.lower[i] <= 0:
@@ -191,8 +193,7 @@ def sweep(f: SetFunction, base: DualBase, opts: SearchOptions | None = None) -> 
             results.append(_row_minimum(f, z, row) if grid else scalar_minimize(f, z, opts))
         except InfeasibleProblemError as exc:
             results.append(ScalarMinResult(np.asarray(z, dtype=float), None, math.inf,
-                                           iterations=0, step_at_exit=math.inf,
-                                           converged=False, note=str(exc)))
+                                           iterations=0, converged=False, note=str(exc)))
     if all(r.minimizer is None for r in results):
         raise InfeasibleProblemError("every direction was infeasible")
     return results
@@ -204,11 +205,11 @@ def _row_minimum(f: SetFunction, z: np.ndarray, row: np.ndarray) -> ScalarMinRes
     if math.isinf(row[i]):
         raise InfeasibleProblemError("all grid values scalarize to +inf")
     return ScalarMinResult(z, f.space.points[i].copy(), float(row[i]),
-                           iterations=len(row), step_at_exit=0.0, converged=True)
+                           iterations=len(row), converged=True)
 
 
-def collect_candidate(results: list[ScalarMinResult], merge_tol: float = MERGE_TOL) -> CandidateSet:
-    """Merge the converged minimizers within ``merge_tol`` (cluster
+def collect_candidate(results: list[ScalarMinResult]) -> CandidateSet:
+    """Merge the converged minimizers within ``MERGE_TOL`` (cluster
     centroids, deterministic in sweep order)."""
     mins = [r.minimizer for r in results if r.converged and r.minimizer is not None]
     if not mins:
@@ -217,7 +218,7 @@ def collect_candidate(results: list[ScalarMinResult], merge_tol: float = MERGE_T
     for p in mins:
         for cl in clusters:
             center = np.mean(cl, axis=0)
-            if np.linalg.norm(p - center) <= merge_tol:
+            if np.linalg.norm(p - center) <= MERGE_TOL:
                 cl.append(p)
                 break
         else:
@@ -226,7 +227,7 @@ def collect_candidate(results: list[ScalarMinResult], merge_tol: float = MERGE_T
     return CandidateSet(points, label="sweep minimizers")
 
 
-def probe_points(space, resolution: int = 33, seed: int = 1) -> np.ndarray:
+def probe_points(space, resolution: int = PROBE_RESOLUTION, seed: int = 1) -> np.ndarray:
     """An independent verification probe: grids probe themselves; boxes get
     an interior offset lattice plus an equally sized seeded uniform sample."""
     if isinstance(space, Grid):
@@ -270,7 +271,7 @@ def _gaps_above(minima: np.ndarray, rivals: np.ndarray) -> np.ndarray:
 
 
 def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe, *,
-                     co_extra: int = 32, seed: int = 1) -> InfimizerGaps:
+                     co_extra: int = CO_SAMPLES, seed: int = 1) -> InfimizerGaps:
     """Scalarization gap test: for every base direction, how far the
     candidate's best value lies above the probe's best value (callers
     compare ``max_gap`` against their tolerance).  The convex-hull gap
@@ -289,10 +290,10 @@ def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe, *,
                          candidate=prof_m, probe=prof_p)
 
 
-def verify_lattice_minimizer(value: UpperSet, probe_values, tol: float = 1e-9) -> bool:
+def verify_lattice_minimizer(value: UpperSet, probe_values) -> bool:
     """True iff no probe value is strictly smaller in the lattice than
     ``value`` (a strictly larger upper set)."""
-    return not any(order_geq(value, v, tol) and not equals(value, v, tol)
+    return not any(order_geq(value, v) and not equals(value, v)
                    for v in probe_values)
 
 
@@ -330,7 +331,7 @@ class SolutionReport:
 
 
 def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
-                       tol: float | None = None, *, co_extra: int = 32,
+                       tol: float | None = None, *, co_extra: int = CO_SAMPLES,
                        seed: int = 1, check_lattice_min: bool = True) -> SolutionReport:
     """Full verdict: infimizer gaps, convex-hull gap, and the sc-condition
     that every candidate point minimizes some scalarization direction

@@ -9,7 +9,7 @@ from setopt.calcvar import (Arc, Boundary, Lagrangian, TestDirection,
                             objective, random_test_directions,
                             scalar_gradient, scalar_objective, solve_sccvp)
 from setopt.catalog import make_cvp, make_lagrangian
-from setopt.errors import DerivativeMismatchError, InvalidDimensionError
+from setopt.errors import DerivativeMismatchError, InputFormatError, InvalidDimensionError
 
 
 def energy_arc_values(alpha, omega=None):
@@ -114,6 +114,13 @@ def test_solver_flags_divergence():
     res = solve_sccvp(lag, np.array([0.0, 1.0]), b, 50)
     assert not res.converged
     assert "non-attainment" in res.note
+
+
+@pytest.mark.parametrize("grad_tol", [0.0, -1.0, math.nan])
+def test_solver_refuses_a_gradient_tolerance_it_cannot_meet(grad_tol):
+    b = Boundary(0.0, 1.0, [0.0], [1.0])
+    with pytest.raises(InputFormatError, match="must be positive"):
+        solve_sccvp(quad_lagrangian(), np.array([0.5, 0.5]), b, 8, grad_tol=grad_tol)
 
 
 def test_residual_vanishes_at_solution():

@@ -178,6 +178,27 @@ def test_oracle_duplicate_points_are_an_input_error(tmp_path, outdir, capsys):
     assert not (outdir / "oracle_report.json").exists()
 
 
+def test_oracle_directions_outside_the_dual_cone_are_an_input_error(tmp_path, outdir, capsys):
+    inst = write_json(tmp_path / "outside.json", {
+        "cone": {"kind": "orthant", "dim": 2},
+        "table": [
+            {"x": [0.0], "generators": [[2.0, 2.0]]},
+            {"x": [1.0], "generators": [[1.0, 1.0]]},
+        ],
+        "directions": [[1.0, -1.0], [-1.0, 0.5]],
+    })
+    assert run(["oracle", "--problem", inst, "--out", outdir]) == 1
+    assert "outside the dual cone" in capsys.readouterr().err
+    assert not (outdir / "oracle_report.json").exists()
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_oracle_nonpositive_campaign_size_is_an_input_error(outdir, capsys, count):
+    assert run(["oracle", "--instances", count, "--out", outdir]) == 1
+    assert "at least one instance" in capsys.readouterr().err
+    assert not (outdir / "oracle_report.json").exists()
+
+
 def test_oracle_campaign(outdir):
     assert run(["oracle", "--instances", 10, "--seed", 7,
                 "--out", outdir]) == 0
@@ -209,6 +230,14 @@ def test_cvp_divergent_direction_flagged(tmp_path, outdir):
     assert not all(rep["converged"])
     notes = " ".join(rep["notes"])
     assert "non-attainment" in notes
+
+
+@pytest.mark.parametrize("grad_tol", [-1, 0])
+def test_cvp_nonpositive_grad_tol_is_an_input_error(outdir, capsys, grad_tol):
+    assert run(["cvp", "--grad-tol", grad_tol, "--base-res", 1, "--mesh", 8,
+                "--out", outdir]) == 1
+    assert "gradient tolerance must be positive" in capsys.readouterr().err
+    assert not (outdir / "cvp_report.json").exists()
 
 
 def test_catalog_lists_everything(capsys):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from setopt import jsonio
+from setopt import catalog, jsonio
 from setopt.catalog import make_cvp
-from setopt.cones import DualBase, cone_generated, cone_orthant
+from setopt.cones import DualBase, base_directions, cone_generated, cone_orthant, default_anchor
 from setopt.errors import InputFormatError
 from setopt.setfuns import Box, Grid
 from setopt.uppersets import UpperSet, equals
@@ -64,27 +64,47 @@ def test_value_round_trip():
 
 
 def test_problem_from_dict_catalog_with_space_override():
-    f, extras = jsonio.problem_from_dict({
+    prob, m = jsonio.problem_from_dict({
         "objective": {"catalog": "hyperbola"},
         "space": {"kind": "box", "lower": [0.5], "upper": [2.0]},
         "m": [[1.0]],
     })
-    assert isinstance(f.space, Box)
-    assert f.space.upper[0] == 2.0
-    assert_allclose(extras["m"], [[1.0]])
-    assert extras["problem"].name == "hyperbola"
+    assert isinstance(prob.setfn.space, Box)
+    assert prob.setfn.space.upper[0] == 2.0
+    assert_allclose(m, [[1.0]])
+    ref = catalog.make_problem("hyperbola")
+    assert (prob.name, prob.base_kind, prob.default_directions, prob.description) == \
+        (ref.name, ref.base_kind, ref.default_directions, ref.description)
+    assert np.array_equal(prob.anchor, ref.anchor) and np.array_equal(prob.start, ref.start)
 
 
 def test_problem_from_dict_table():
-    f, extras = jsonio.problem_from_dict({
+    prob, m = jsonio.problem_from_dict({
         "cone": {"kind": "orthant", "dim": 2},
         "objective": {"table": [
             {"x": [0.0], "generators": [[1.0, 1.0]]},
             {"x": [1.0], "generators": []},
         ]},
     })
-    assert isinstance(f.space, Grid)
-    assert extras == {}
+    assert isinstance(prob.setfn.space, Grid)
+    assert m is None
+
+
+@pytest.mark.parametrize("dim, directions", [(2, catalog.PLANAR_DIRECTIONS), (3, 1)])
+def test_table_file_gets_the_catalog_table_defaults(dim, directions):
+    prob, _ = jsonio.problem_from_dict({
+        "label": "two points",
+        "cone": {"kind": "orthant", "dim": dim},
+        "objective": {"table": [
+            {"x": [0.0, 1.0], "generators": [[0.0] * (dim - 1) + [1.0]]},
+            {"x": [1.0, 0.0], "generators": [[1.0] + [0.0] * (dim - 1)]},
+        ]},
+    })
+    assert (prob.name, prob.base_kind, prob.default_directions, prob.description) == \
+        ("two points", "full", directions, "table problem")
+    assert np.array_equal(prob.anchor, np.ones(dim))
+    assert np.array_equal(prob.start, np.zeros(2))
+    assert len(catalog.directions_for(prob)) == directions
 
 
 def test_problem_from_dict_errors():
@@ -113,15 +133,29 @@ def test_instance_from_dict():
         jsonio.instance_from_dict({"cone": {"kind": "orthant", "dim": 2}})
 
 
+@pytest.mark.parametrize("cone", [
+    {"kind": "orthant", "dim": 2},
+    {"kind": "generated", "primal": [[1.0, 0.0], [1.0, 1.0]], "dual": [[0.0, 1.0], [1.0, -1.0]]},
+])
+def test_instance_file_without_m_or_directions_gets_the_defaults(cone):
+    inst, m, dirs = jsonio.instance_from_dict({
+        "cone": cone,
+        "table": [{"x": [0.0], "generators": [[1.0, 0.0]]},
+                  {"x": [1.0], "generators": [[0.0, 1.0]]}],
+    })
+    assert np.array_equal(m, inst.grid)
+    expected = base_directions(inst.cone, default_anchor(inst.cone), 4).directions
+    assert dirs.shape == (5, 2) and np.array_equal(dirs, expected)
+
+
 def test_cvp_from_dict_defaults_and_validation():
     base = {"a": 0.0, "b": 1.0, "A": [0.0], "B": [1.0], "N": 10,
             "lagrangian": "quadratic"}
-    lag, boundary, mesh, dirs = jsonio.cvp_from_dict(base)
-    assert mesh == 10
-    assert dirs.shape == (9, 2)  # default alphas 0.1 .. 0.9
-    assert_allclose(dirs.sum(axis=1), 1.0)
-    lag2, _, _, dirs2 = jsonio.cvp_from_dict({**base, "alphas": [0.5]})
-    assert_allclose(dirs2, [[0.5, 0.5]])
+    cvp = jsonio.cvp_from_dict(base)
+    assert cvp.mesh == 10
+    assert cvp.directions.shape == (9, 2)  # default alphas 0.1 .. 0.9
+    assert_allclose(cvp.directions.sum(axis=1), 1.0)
+    assert_allclose(jsonio.cvp_from_dict({**base, "alphas": [0.5]}).directions, [[0.5, 0.5]])
     with pytest.raises(InputFormatError):
         jsonio.cvp_from_dict({**base, "n": 2})
     with pytest.raises(InputFormatError):
@@ -130,6 +164,18 @@ def test_cvp_from_dict_defaults_and_validation():
     del missing["N"]
     with pytest.raises(InputFormatError):
         jsonio.cvp_from_dict(missing)
+
+
+def test_cvp_file_of_the_catalog_problem_loads_to_its_fields():
+    ref = make_cvp("quadratic_cvp")
+    got = jsonio.cvp_from_dict({"a": 0.0, "b": 1.0, "A": [0.0], "B": [1.0], "N": 100,
+                                "lagrangian": {"catalog": "quadratic"}})
+    assert isinstance(got, catalog.CvpProblem)
+    assert got.lagrangian == ref.lagrangian
+    for field in ("a", "b", "A", "B"):
+        assert np.array_equal(getattr(got.boundary, field), getattr(ref.boundary, field))
+    assert got.mesh == ref.mesh
+    assert np.array_equal(got.directions, ref.directions)
 
 
 def test_write_json_is_sorted_and_non_finite_safe(tmp_path):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from setopt.catalog import chain_instance, hyperbola_instance, pair_instance
 from setopt.cones import cone_orthant
-from setopt.errors import InvalidDimensionError, OutOfDomainError
+from setopt.errors import InvalidDimensionError, InvalidDirectionError, OutOfDomainError
 from setopt.oracle import (FiniteInstance, campaign_commutation, campaign_lemma,
                            check_commutation, check_inf_translation_lemma,
                            corrupting_override, enumerate_lattice_minimizers,
@@ -138,6 +138,15 @@ def test_commutation_exact_and_corrupted():
     assert check_commutation(inst, m, dirs, fhat_override=bad) >= 0.2
 
 
+def test_commutation_refuses_directions_outside_the_dual_cone():
+    # Outside C+ both routes scalarize to -inf, so a gap of 0 would say nothing.
+    inst = pair_instance()
+    with pytest.raises(InvalidDirectionError, match="outside the dual cone"):
+        check_commutation(inst, inst.grid, np.array([[1.0, -1.0], [-1.0, 0.5]]))
+    with pytest.raises(InvalidDirectionError):
+        check_commutation(inst, inst.grid, np.array([[0.5, 0.5], [-1.0, 0.5]]))
+
+
 def test_report_serialization_round_trip():
     inst = chain_instance()
     rep = check_inf_translation_lemma(inst, np.array([[2.0]]), seed=0)
@@ -175,6 +184,13 @@ def test_small_commutation_campaign():
     assert rep.count == 20
     assert rep.max_gap <= 1e-12
     assert rep.failures == []
+
+
+@pytest.mark.parametrize("campaign", [campaign_commutation, campaign_lemma])
+@pytest.mark.parametrize("count", [0, -3])
+def test_campaigns_refuse_nonpositive_sizes(campaign, count):
+    with pytest.raises(InvalidDimensionError, match="at least one instance"):
+        campaign(count=count)
 
 
 def test_small_lemma_campaign():

@@ -149,17 +149,17 @@ def test_linear_vop_sweep_attains_vertex_values():
 
 def test_collect_candidate_merges_nearby_minimizers():
     z = np.array([0.5, 0.5])
-    mk = lambda x: ScalarMinResult(z, np.array(x), 0.0, 1, 0.0, True)
+    mk = lambda x: ScalarMinResult(z, np.array(x), 0.0, 1, True)
     rs = [mk([1.0, 1.0]), mk([1.0 + 4e-6, 1.0]), mk([2.0, 2.0]),
-          ScalarMinResult(z, None, math.inf, 1, 0.0, False)]
-    cand = collect_candidate(rs, merge_tol=1e-5)
+          ScalarMinResult(z, None, math.inf, 1, False)]
+    cand = collect_candidate(rs)
     assert cand.points.shape == (2, 2)
     assert_allclose(cand.points[0], [1.0 + 2e-6, 1.0], atol=1e-9)
 
 
 def test_collect_candidate_requires_a_convergent_result():
     z = np.array([0.5, 0.5])
-    rs = [ScalarMinResult(z, None, math.inf, 1, 0.0, False)]
+    rs = [ScalarMinResult(z, None, math.inf, 1, False)]
     with pytest.raises(EmptyCandidateError):
         collect_candidate(rs)
 
