@@ -41,21 +41,20 @@ class Lagrangian:
     label: str = "lagrangian"
 
     @classmethod
-    def checked(cls, fn, d_y, d_p, n: int, d: int, label: str = "lagrangian",
-                seed: int = 0) -> "Lagrangian":
+    def checked(cls, fn, d_y, d_p, n: int, d: int, label: str = "lagrangian") -> "Lagrangian":
         """Construct and validate the derivatives against central
-        differences at seeded sample points."""
+        differences at the sample points of :func:`check_derivatives`."""
         lag = cls(fn, d_y, d_p, n, d, label)
-        check_derivatives(lag, seed=seed)
+        check_derivatives(lag)
         return lag
 
 
-def check_derivatives(lag: Lagrangian, seed: int = 0) -> None:
+def check_derivatives(lag: Lagrangian) -> None:
     """Compare analytic Lagrangian derivatives with central differences at
-    8 seeded points; raises DerivativeMismatchError on a mismatch beyond
-    1e-6 relative."""
+    8 points drawn with seed 0; raises DerivativeMismatchError on a
+    mismatch beyond 1e-6 relative."""
     samples = 8
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     t = rng.uniform(0.0, 1.0, size=samples)
     y = rng.uniform(-2.0, 2.0, size=(samples, lag.n))
     p = rng.uniform(-2.0, 2.0, size=(samples, lag.n))
@@ -195,20 +194,19 @@ class CvpSolveResult:
 
 
 def solve_sccvp(lag: Lagrangian, zeta, boundary: Boundary, N: int, *,
-                grad_tol: float = GRAD_TOL, start: Arc | None = None) -> CvpSolveResult:
+                grad_tol: float = GRAD_TOL) -> CvpSolveResult:
     """Minimize the zeta-scalarized objective over interior states by
-    gradient descent with backtracking, stopping at sup-norm gradient
-    ``grad_tol`` (which must be positive) within 50000 iterations.
-    Unbounded descent and exhausted budgets come back with
+    gradient descent with backtracking from the straight-line arc, stopping
+    at sup-norm gradient ``grad_tol`` (which must be positive) within 50000
+    iterations.  Unbounded descent and exhausted budgets come back with
     ``converged=False``."""
     if not grad_tol > 0:
         raise InputFormatError(f"the gradient tolerance must be positive, got {grad_tol!r}")
     zeta = np.asarray(zeta, dtype=float)
     if zeta.shape != (lag.d,):
         raise InvalidDimensionError(f"direction must have length {lag.d}")
-    arc = start if start is not None else linear_arc(boundary, N)
-    times = arc.times
-    x = arc.states.copy()
+    arc = linear_arc(boundary, N)
+    times, x = arc.times, arc.states
 
     def value_of(states: np.ndarray) -> float:
         return scalar_objective(lag, zeta, Arc(times, states))
@@ -341,8 +339,10 @@ def cvp_sweep(lag: Lagrangian, directions, boundary: Boundary, N: int, *,
     """Solve every scalarized direction, check first-order residuals on 20
     seeded test directions per arc, and check that no perturbation of the
     collected arcs along 10 seeded probes beats the collected optimal
-    values by more than ``phi_tol`` (the scalarized translation test at
-    the zero perturbation)."""
+    values by more than ``phi_tol``, which must be nonnegative (the
+    scalarized translation test at the zero perturbation)."""
+    if not phi_tol >= 0:
+        raise InputFormatError(f"the translation tolerance must be nonnegative, got {phi_tol!r}")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     rows: list[CvpSolveResult] = []
     residuals = []
@@ -359,18 +359,14 @@ def cvp_sweep(lag: Lagrangian, directions, boundary: Boundary, N: int, *,
     margin = math.inf
     if solved:
         probe = random_test_directions(N, lag.n, 10, seed=seed + 9001)
-        scales = (0.3, 1.0)
+        # each perturbed arc's vector objective, once for all directions
+        shifted = [[objective(lag, Arc(r.arc.times, r.arc.states + s * td.states))
+                    for r in solved]
+                   for td in probe for s in (0.3, 1.0)]
         for zeta in dirs:
-            best0 = min(scalar_objective(lag, zeta, r.arc) for r in solved)
-            for td in probe:
-                for s in scales:
-                    shifted = min(
-                        scalar_objective(
-                            lag, zeta,
-                            Arc(r.arc.times, r.arc.states + s * td.states))
-                        for r in solved
-                    )
-                    margin = min(margin, shifted - best0)
+            best0 = min(float(zeta @ r.value) for r in solved)
+            for values in shifted:
+                margin = min(margin, min(float(zeta @ v) for v in values) - best0)
     return CvpReport(
         directions=dirs,
         values=np.stack([r.value for r in rows]),

@@ -166,7 +166,9 @@ def make_lagrangian(name: str) -> Lagrangian:
 
 def cvp_directions(alphas=None, count: int = 9) -> np.ndarray:
     """Planar directions ``(alpha, 1 - alpha)``; the alphas default to
-    ``count`` values evenly spaced on [0.1, 0.9]."""
+    ``count`` (at least 1) values evenly spaced on [0.1, 0.9]."""
+    if count < 1:
+        raise InputFormatError(f"need at least one direction, got {count}")
     a = np.linspace(0.1, 0.9, count) if alphas is None else np.asarray(alphas, dtype=float)
     return np.stack([a, 1.0 - a], axis=1)
 

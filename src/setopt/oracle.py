@@ -3,7 +3,7 @@
 A finite instance pins a set-valued function down to a desk-scale table:
 a finite grid of argument points, one planar upper-set value per point.
 Everything here is exhaustive arithmetic over that table: exact lattice
-infima in both the union form and the convexified form, enumeration of
+infima in both the union form and the convex-hull form, enumeration of
 lattice minimizers by pairwise comparison, and clause-by-clause checks
 of the translation identities that the fast modules rely on.
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (Cone, cone_orthant, cone_generated, as_matrix, as_vector, dual_contains,
-                    unique_rows)
+from .cones import (KEY_DECIMALS, Cone, cone_orthant, cone_generated, as_matrix, as_vector,
+                    dual_contains, unique_rows)
 from .errors import InvalidDimensionError, InvalidDirectionError, OutOfDomainError
 from .setfuns import Grid
 from .uppersets import UpperSet, equals, lattice_inf, oplus, order_geq, support
@@ -87,9 +87,9 @@ class FiniteInstance:
 def exact_inf(inst: FiniteInstance, subset=None):
     """Exact lattice infimum over a subset (default: whole grid).
 
-    Returns the convexified infimum as an upper set together with the raw
-    generator union (the vertex data of the unconvexified infimum); the
-    two differ exactly when convexification adds points, which is the gap
+    Returns the convex-hull infimum as an upper set together with the raw
+    generator union (the vertex data of the union infimum); the two
+    differ exactly when taking the hull adds points, which is the gap
     a convex solver glosses over.
     """
     if subset is None:
@@ -148,15 +148,15 @@ def translated_domain(inst: FiniteInstance, subset_idx) -> np.ndarray:
     return unique_rows(diffs.reshape(-1, inst.grid.shape[1]))
 
 
-def _translated_value(inst: FiniteInstance, x, subset_idx,
+def _translated_value(inst: FiniteInstance, x, subset_idx, parts,
                       fhat_override=None) -> UpperSet:
-    """The translated value at x for an index subset, unless
-    ``fhat_override`` supplies one (it returns None to defer)."""
+    """The infimum at x of the subset's translates ``parts`` (None looks them
+    up), unless ``fhat_override`` supplies a value (it returns None to defer)."""
     if fhat_override is not None:
         v = fhat_override(np.asarray(x, dtype=float), frozenset(subset_idx))
         if v is not None:
             return v
-    return inf_translate(inst, x, subset_idx)
+    return inf_translate(inst, x, subset_idx) if parts is None else lattice_inf(parts)
 
 
 @dataclass
@@ -192,62 +192,58 @@ class LemmaReport:
         }
 
 
-def _superset_family(inst: FiniteInstance, m_idx, seed: int, extra=()):
+def _superset_family(inst: FiniteInstance, m_idx, seed: int):
     """Index subsets between m and the grid: the full power set of the
     complement when it has at most 4096 members, otherwise 64 seeded
-    samples (always including m, the grid, and any requested sets)."""
+    samples (always including m and the grid)."""
     rest = [i for i in range(inst.size) if i not in m_idx]
     if 2 ** len(rest) <= 4096:
-        fams = []
-        for r in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                fams.append(tuple(sorted(set(m_idx) | set(combo))))
+        fams = [tuple(sorted(set(m_idx) | set(combo)))
+                for r in range(len(rest) + 1) for combo in itertools.combinations(rest, r)]
         return fams, "exhaustive"
     rng = np.random.default_rng(seed)
     fams = {tuple(sorted(m_idx)), tuple(range(inst.size))}
-    for e in extra:
-        fams.add(tuple(sorted(e)))
     while len(fams) < 64:
         mask = rng.random(len(rest)) < rng.uniform(0.1, 0.9)
         fams.add(tuple(sorted(set(m_idx) | {rest[i] for i in np.nonzero(mask)[0]})))
     return sorted(fams), "sampled"
 
 
-def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *, seed: int = 0,
+def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
                                 fhat_override=None) -> LemmaReport:
     """Exhaustively check the translation identities on a finite instance.
 
-    m and n are point subsets of the grid with m contained in n (n
-    defaults to the whole grid).  Clause c4 asks that the origin value of
-    each tested superset equals the grid infimum exactly when m attains
-    it.  ``fhat_override``, when given, is
+    m is a point subset of the grid; clause (a) compares its translation,
+    evaluated once per point of its domain, with the whole grid's.  Clause
+    c4 asks that the origin value of each tested superset equals the grid
+    infimum exactly when m attains it.  ``fhat_override``, when given, is
     consulted for every translated value (returning None defers to the
     honest computation); it exists so tests can corrupt the table and
     confirm the clauses actually detect it.
     """
     m_idx = inst.subset_indices(m)
-    n_idx = inst.subset_indices(n) if n is not None else tuple(range(inst.size))
-    if not set(m_idx) <= set(n_idx):
-        raise OutOfDomainError("m must be a subset of n")
+    grid_idx = tuple(range(inst.size))
 
-    fhat = functools.partial(_translated_value, inst, fhat_override=fhat_override)
+    fhat = functools.partial(_translated_value, inst, parts=None, fhat_override=fhat_override)
     clauses: list[ClauseResult] = []
     zero = np.zeros(inst.grid.shape[1])
 
-    # (a) growing the translation set can only improve every value
+    # (a) growing the translation set can only improve every value; the
+    # m-translation on dom_m, the first rows of dom_union, serves (b) and (c2)
     dom_m = translated_domain(inst, m_idx)
-    dom_n = translated_domain(inst, n_idx)
-    dom_union = unique_rows(np.vstack([dom_m, dom_n]))
+    at_m = [fhat(x, m_idx) for x in dom_m]
+    dom_union = unique_rows(np.vstack([dom_m, translated_domain(inst, grid_idx)]))
     witness = None
-    for x in dom_union:
-        if not order_geq(fhat(x, m_idx), fhat(x, n_idx)):
+    for i, x in enumerate(dom_union):
+        v_m = at_m[i] if i < len(at_m) else fhat(x, m_idx)
+        if not order_geq(v_m, fhat(x, grid_idx)):
             witness = f"antitonicity fails at x={x.tolist()}"
             break
     clauses.append(ClauseResult("a_antitone", witness is None, witness))
 
     # (b) translating never changes the reachable infimum
     total_inf, _ = exact_inf(inst)
-    hat_inf = lattice_inf([fhat(x, m_idx) for x in dom_m])
+    hat_inf = lattice_inf(at_m)
     ok = equals(hat_inf, total_inf)
     clauses.append(ClauseResult(
         "b_inf_preserved", ok,
@@ -257,14 +253,15 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, n=None, *, seed: int = 
     # attains it at the origin
     m_inf, _ = exact_inf(inst, inst.grid[list(m_idx)])
     c1 = equals(m_inf, total_inf)
-    at_zero = fhat(zero, m_idx)
+    # the origin is the row of dom_m whose key is zero (x = g_i - g_i)
+    at_zero = at_m[np.flatnonzero(~np.round(dom_m, KEY_DECIMALS).any(axis=1))[0]]
     c2 = equals(at_zero, hat_inf)
     ok = c1 == c2
     clauses.append(ClauseResult(
         "c1_iff_c2", ok,
         None if ok else f"c1={c1} but c2={c2}"))
 
-    fams, mode = _superset_family(inst, m_idx, seed, extra=[n_idx])
+    fams, mode = _superset_family(inst, m_idx, seed)
 
     # origin values of the tested supersets, shared by c3 and c4
     origins = [fhat(zero, s) for s in fams] if c1 else []
@@ -317,8 +314,8 @@ def check_commutation(inst: FiniteInstance, m, directions,
     dom = translated_domain(inst, m_idx)
     worst = 0.0
     for x in dom:
-        v = _translated_value(inst, x, m_idx, fhat_override)
         parts = [inst.value_at(x + inst.grid[i]) for i in m_idx]
+        v = _translated_value(inst, x, m_idx, parts, fhat_override)
         for z in dirs:
             lhs = support(v, z)
             rhs = min(support(p, z) for p in parts)

@@ -26,6 +26,7 @@ from .cones import (Cone, DualBase, TOL_GEOM, as_matrix, as_vector, dual_contain
 from .errors import (
     ConeMismatchError,
     EmptyCandidateError,
+    InputFormatError,
     InvalidDimensionError,
     InvalidDirectionError,
     OutOfDomainError,
@@ -33,8 +34,8 @@ from .errors import (
 )
 from .uppersets import UpperSet, lattice_inf, lattice_sup_2d, support
 
-#: Seeded random convex combinations that sample a candidate's hull, in
-#: translations of convexified candidates and in the verifier's hull gap.
+#: Seeded random convex combinations that sample a candidate's hull in
+#: the verifier's hull gap.
 CO_SAMPLES = 32
 
 
@@ -196,11 +197,10 @@ def _scalarize_in_space(f: SetFunction, z: np.ndarray, x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """A finite family of variable-space points, optionally standing for
-    its convex hull (realized by barycentric sampling downstream)."""
+    """A finite family of variable-space points.  Translations use the
+    points themselves; the verifier samples their convex hull."""
 
     points: np.ndarray
-    convexified: bool = False
     label: str = "candidate"
 
     def __post_init__(self):
@@ -214,27 +214,24 @@ class CandidateSet:
 
 def convex_sample_points(points: np.ndarray, extra: int = CO_SAMPLES, seed: int = 0) -> np.ndarray:
     """Barycentric samples of the convex hull of ``points``: the points,
-    all pairwise midpoints, and ``extra`` seeded random convex combinations."""
+    all pairwise midpoints, and ``extra`` (at least 0) seeded random ones."""
+    if extra < 0:
+        raise InputFormatError(f"the hull sample count must be nonnegative, got {extra}")
     pts = as_matrix(points)
     k = pts.shape[0]
     out = [pts]
     if k >= 2:
         mids = [(pts[i] + pts[j]) / 2.0 for i in range(k) for j in range(i + 1, k)]
         out.append(np.stack(mids))
-        if extra > 0:
-            rng = np.random.default_rng(seed)
-            weights = rng.dirichlet(np.ones(k), size=extra)
-            out.append(weights @ pts)
+        weights = np.random.default_rng(seed).dirichlet(np.ones(k), size=extra)
+        out.append(weights @ pts)
     return np.concatenate(out, axis=0)
 
 
-def _translation_points(f: SetFunction, m: CandidateSet, seed: int) -> np.ndarray:
-    if len(m) == 0:
-        raise EmptyCandidateError("translation needs a nonempty candidate set")
+def _translation_points(f: SetFunction, m: CandidateSet) -> np.ndarray:
+    # a CandidateSet is never empty
     if m.points.shape[1] != f.space.dim:
         raise InvalidDimensionError("candidate points must live in the variable space")
-    if m.convexified:
-        return convex_sample_points(m.points, seed=seed)
     return m.points
 
 
@@ -247,10 +244,10 @@ def _translated_space(space: VarSpace, ys: np.ndarray) -> VarSpace:
     return Grid(unique_rows(shifted.reshape(-1, space.dim)))
 
 
-def inf_translation(f: SetFunction, m: CandidateSet, *, seed: int = 0) -> SetFunction:
+def inf_translation(f: SetFunction, m: CandidateSet) -> SetFunction:
     """The pointwise lattice infimum of the M-translates
     ``x -> inf {f(x + y) : y in M}``."""
-    ys = _translation_points(f, m, seed)
+    ys = _translation_points(f, m)
     space = _translated_space(f.space, ys)
 
     def evaluator(x: np.ndarray) -> UpperSet:
@@ -260,15 +257,14 @@ def inf_translation(f: SetFunction, m: CandidateSet, *, seed: int = 0) -> SetFun
                        label=f"inf-translation of {f.label} by {m.label}")
 
 
-def scalarized_inf_translation(f: SetFunction, m: CandidateSet, zstar, x, *,
-                               seed: int = 0) -> float:
+def scalarized_inf_translation(f: SetFunction, m: CandidateSet, zstar, x) -> float:
     """The scalarized inf-translation ``min {phi(x + y) : y in M}`` where
     phi is the z*-scalarization of f.  Commutes exactly with scalarizing
     the set-level inf-translation."""
     z = as_vector(zstar, f.cone.dim)
     if not dual_contains(f.cone, z):
         raise InvalidDirectionError(f"{z.tolist()} lies outside the dual cone")
-    ys = _translation_points(f, m, seed)
+    ys = _translation_points(f, m)
     x = as_vector(x, f.space.dim)
     return min(_scalarize_or_inf(f, z, x + y) for y in ys)
 
@@ -286,7 +282,7 @@ def _join_via_reflected_min(cone: Cone, points: np.ndarray) -> np.ndarray:
     return g @ (-reflected_min)
 
 
-def sup_translation(f: SetFunction, m: CandidateSet, *, seed: int = 0) -> SetFunction:
+def sup_translation(f: SetFunction, m: CandidateSet) -> SetFunction:
     """The pointwise lattice supremum of the M-translates
     ``x -> sup {f(x + y) : y in M}`` (intersection of values).
 
@@ -294,7 +290,7 @@ def sup_translation(f: SetFunction, m: CandidateSet, *, seed: int = 0) -> SetFun
     singleton-generated values over simplicial cones are supported, via
     the reflected-minimization join.
     """
-    ys = _translation_points(f, m, seed)
+    ys = _translation_points(f, m)
     space = _translated_space(f.space, ys)
     cone = f.cone
     # Constructed eagerly so invalid reflections fail at build time.

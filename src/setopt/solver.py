@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import DualBase, as_vector
-from .errors import EmptyCandidateError, InfeasibleProblemError, InvalidDirectionError
+from .errors import (EmptyCandidateError, InfeasibleProblemError, InputFormatError,
+                     InvalidDirectionError)
 from .setfuns import (
     Box,
     CandidateSet,
@@ -230,6 +231,8 @@ def collect_candidate(results: list[ScalarMinResult]) -> CandidateSet:
 def probe_points(space, resolution: int = PROBE_RESOLUTION, seed: int = 1) -> np.ndarray:
     """An independent verification probe: grids probe themselves; boxes get
     an interior offset lattice plus an equally sized seeded uniform sample."""
+    if resolution < 0:
+        raise InputFormatError(f"the probe resolution must be nonnegative, got {resolution}")
     if isinstance(space, Grid):
         return space.points
     box: Box = space
@@ -275,14 +278,16 @@ def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe, *,
     """Scalarization gap test: for every base direction, how far the
     candidate's best value lies above the probe's best value (callers
     compare ``max_gap`` against their tolerance).  The convex-hull gap
-    compares the candidate against barycentric samples of its own hull."""
+    compares the candidate against barycentric samples of its own hull
+    beyond the candidate points, whose minima ``min_m`` already holds (the
+    gap is the same with or without them)."""
+    co_pts = convex_sample_points(m.points, extra=co_extra, seed=seed)[len(m):]
     prof_m = ScalarizationProfile.build(f, base, m.points)
     prof_p = ScalarizationProfile.build(f, base, probe)
     min_m = np.min(prof_m.values, axis=1)
     min_p = np.min(prof_p.values, axis=1)
     co_gap = 0.0
-    if len(m) >= 2:
-        co_pts = convex_sample_points(m.points, extra=co_extra, seed=seed)
+    if len(co_pts):
         best_co = np.min(ScalarizationProfile.build(f, base, co_pts).values, axis=1)
         co_gap = float(np.max(_gaps_above(min_m, best_co)))
     return InfimizerGaps(gaps=_gaps_above(min_m, min_p), co_gap=co_gap,
@@ -338,6 +343,8 @@ def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
     (residual = min over directions of its value above the probe's best)."""
     if tol is None:
         tol = default_tol(f.space)
+    if not tol >= 0:
+        raise InputFormatError(f"the verdict tolerance must be nonnegative, got {tol!r}")
     gaps = verify_infimizer(f, m, base, probe, co_extra=co_extra, seed=seed)
     probe = gaps.probe.points
     # The profiles score off-space points as empty values; the candidate,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from setopt import calcvar
 from setopt.calcvar import (Arc, Boundary, Lagrangian, TestDirection,
                             cvp_sweep, first_order_residual, linear_arc,
                             objective, random_test_directions,
@@ -187,6 +188,40 @@ def test_sweep_report_shapes_and_translation():
     assert rep.translation_pass
     assert rep.translation_margin >= -1e-4
     assert len(rep.arcs) == 3
+
+
+def test_sweep_translation_check_evaluates_each_shifted_arc_once(monkeypatch):
+    # 10 probes at 2 scales: one vector objective per solved arc each,
+    # shared by every direction; the solved arcs' own values come from the
+    # solves.  The margin equals the per-direction scalar computation.
+    cvp = make_cvp("quadratic_cvp")
+    lag, dirs, N = cvp.lagrangian, cvp.directions[:3], 12
+    calls, solving = [], []
+    objective_, solve_ = calcvar.objective, calcvar.solve_sccvp
+
+    def counted(lag_, arc):
+        if not solving:
+            calls.append(arc)
+        return objective_(lag_, arc)
+
+    def solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve_(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(calcvar, "objective", counted)
+    monkeypatch.setattr(calcvar, "solve_sccvp", solve)
+    rep = cvp_sweep(lag, dirs, cvp.boundary, N)
+    assert rep.all_converged
+    assert len(calls) == 20 * len(dirs)
+    probe = random_test_directions(N, lag.n, 10, seed=7 + 9001)
+    best = [min(scalar_objective(lag, z, a) for a in rep.arcs) for z in dirs]
+    expect = min(min(scalar_objective(lag, z, Arc(a.times, a.states + s * td.states))
+                     for a in rep.arcs) - b
+                 for z, b in zip(dirs, best) for td in probe for s in (0.3, 1.0))
+    assert rep.translation_margin == expect
 
 
 def test_sweep_flags_divergent_direction():

@@ -240,6 +240,43 @@ def test_cvp_nonpositive_grad_tol_is_an_input_error(outdir, capsys, grad_tol):
     assert not (outdir / "cvp_report.json").exists()
 
 
+VERIFY_VOP = ["verify", "--catalog", "linear_vop", "--m", "1,0;0,1", "--base-res", 5]
+
+
+@pytest.mark.parametrize("argv", [
+    VERIFY_VOP + ["--tol", -1],
+    VERIFY_VOP + ["--tol", "nan"],
+    VERIFY_VOP + ["--probe-res", -4],
+    VERIFY_VOP + ["--co-samples", -5],
+    ["verify", "--catalog", "linear_vop", "--m", "1,0", "--base-res", 5, "--co-samples", -5],
+    ["cvp", "--tol", -1, "--base-res", 1, "--mesh", 8],
+    ["cvp", "--tol", "nan", "--base-res", 1, "--mesh", 8],
+], ids=["tol-negative", "tol-nan", "probe-res", "co-samples", "co-samples-one-point",
+        "cvp-tol-negative", "cvp-tol-nan"])
+def test_negative_or_nan_tolerances_and_sample_counts_are_input_errors(outdir, capsys, argv):
+    assert run(argv + ["--out", outdir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be nonnegative" in err
+    assert not any(outdir.iterdir())
+
+
+def test_zero_tolerances_and_sample_counts_stay_valid(outdir):
+    assert run(VERIFY_VOP + ["--tol", 0, "--probe-res", 0, "--co-samples", 0,
+                             "--out", outdir]) != 1
+    assert (outdir / "verify_report.json").exists()
+    assert run(["cvp", "--tol", 0, "--base-res", 1, "--mesh", 8, "--out", outdir]) == 0
+    assert (outdir / "cvp_report.json").exists()
+
+
+def test_cvp_negative_base_res_is_an_input_error(outdir, capsys):
+    assert run(["cvp", "--base-res", -2, "--mesh", 8, "--out", outdir]) == 1
+    assert "error: need at least one direction" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+    # zero keeps the default nine directions, as it does for solve
+    assert run(["cvp", "--base-res", 0, "--mesh", 8, "--out", outdir]) == 0
+    assert len(json.loads((outdir / "cvp_report.json").read_text())["directions"]) == 9
+
+
 def test_catalog_lists_everything(capsys):
     assert run(["catalog"]) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from setopt import oracle
 from setopt.catalog import chain_instance, hyperbola_instance, pair_instance
-from setopt.cones import cone_orthant
+from setopt.cones import cone_orthant, point_key, unique_rows
 from setopt.errors import InvalidDimensionError, InvalidDirectionError, OutOfDomainError
 from setopt.oracle import (FiniteInstance, campaign_commutation, campaign_lemma,
                            check_commutation, check_inf_translation_lemma,
@@ -134,6 +137,46 @@ def test_commutation_exact_and_corrupted():
     m = inst.grid
     dirs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     assert check_commutation(inst, m, dirs) <= 1e-12
+    bad = corrupting_override(inst, m)
+    assert check_commutation(inst, m, dirs, fhat_override=bad) >= 0.2
+
+
+def test_lemma_evaluates_the_m_translation_once_per_point(monkeypatch):
+    # (a), (b) and (c2) share one evaluation per point of the union domain;
+    # the origin gets one more, as the value of m among its own supersets
+    inst = pair_instance()
+    m = inst.grid[:2]
+    m_idx = inst.subset_indices(m)
+    seen = Counter()
+    honest = oracle.inf_translate
+
+    def counting(inst_, x, subset_idx):
+        if set(subset_idx) == set(m_idx):
+            seen[point_key(x)] += 1
+        return honest(inst_, x, subset_idx)
+
+    monkeypatch.setattr(oracle, "inf_translate", counting)
+    rep = check_inf_translation_lemma(inst, m, seed=0)
+    assert rep.passed and rep.infimizer
+    dom_union = unique_rows(np.vstack([translated_domain(inst, m_idx),
+                                       translated_domain(inst, range(inst.size))]))
+    expect = Counter(point_key(x) for x in dom_union)
+    expect[point_key(np.zeros(2))] += 1
+    assert seen == expect
+
+
+def test_commutation_looks_each_translate_up_once(monkeypatch):
+    # |m| lookups index the subset, then one per (domain point, subset point)
+    inst = pair_instance()
+    m = inst.grid[:2]
+    dom = translated_domain(inst, inst.subset_indices(m))
+    lookups = []
+    index_of = FiniteInstance.index_of
+    monkeypatch.setattr(FiniteInstance, "index_of",
+                        lambda self, p: lookups.append(p) or index_of(self, p))
+    dirs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    assert check_commutation(inst, m, dirs) <= 1e-12
+    assert len(lookups) == len(m) + len(dom) * len(m)
     bad = corrupting_override(inst, m)
     assert check_commutation(inst, m, dirs, fhat_override=bad) >= 0.2
 

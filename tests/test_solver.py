@@ -234,8 +234,9 @@ def test_verify_sc_solution_evaluates_each_point_once(make):
     m = CandidateSet(inst.grid)
     base = base_directions(inst.cone, default_anchor(inst.cone), 6)
     rep = verify_sc_solution(f, m, base, inst.grid, co_extra=8, seed=2)
-    # hull samples off the grid score +inf without an evaluation
-    hull = convex_sample_points(m.points, extra=8, seed=2)
+    # each candidate point is evaluated once, although the hull samples
+    # start with it; hull samples off the grid score +inf without one
+    hull = convex_sample_points(m.points, extra=8, seed=2)[len(m):]
     in_space = sum(f.space.contains(x) for x in hull)
     assert len(calls) == len(m) + len(inst.grid) + in_space
     minimizers = enumerate_lattice_minimizers(inst)
