@@ -3,8 +3,8 @@
 Each entry wires a set-valued objective to the box or grid it lives on,
 a default scalarization base, and a sensible starting point, so the
 command line and the tests speak about the same objects.  Tables and
-oracle instances from files get theirs from :func:`table_problem` and
-:func:`instance_inputs`.
+oracle instances are one type, :class:`setfuns.FiniteInstance`; from
+files they get theirs from :func:`table_problem` and :func:`instance_inputs`.
 
 Catalog names: ``hyperbola``, ``linear_vop``, ``scalar_identity`` for the
 solve and verify commands, ``quadratic_cvp`` for the variational command.
@@ -20,8 +20,7 @@ from .calcvar import Boundary, Lagrangian
 from .cones import (Cone, DualBase, as_vector, base_directions, cone_orthant, default_anchor,
                     interior_base)
 from .errors import InputFormatError
-from .oracle import FiniteInstance
-from .setfuns import Box, SetFunction
+from .setfuns import Box, FiniteInstance, SetFunction
 from .uppersets import UpperSet
 
 #: Directions of a full base on a planar cone: the linear problem and

@@ -55,17 +55,31 @@ def _parse_points(text: str) -> np.ndarray:
     return np.stack([_parse_vector(r) for r in rows])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: :func:`main` reports them and exits 1."""
+
+    def error(self, message):
+        raise SetOptError(message)
+
+
+def _format_list(text: str) -> set:
+    names = {t.strip() for t in text.split(",") if t.strip()}
+    if not names or not names <= {"json", "csv"}:
+        raise argparse.ArgumentTypeError(f"expected a comma list of json and csv, got {text!r}")
+    return names
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", help="problem JSON path")
     p.add_argument("--catalog", help="catalog problem name")
-    p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
     p.add_argument("--seed", type=int, default=1, help="seed for all sampling")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", default="json,csv",
+    p.add_argument("--format", type=_format_list, default="json,csv",
                    help="comma list of output formats (json, csv)")
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
     p.add_argument("--base-res", type=int, default=None,
                    help="number of scalarization directions")
     p.add_argument("--anchor", default=None,
@@ -77,7 +91,7 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="setopt",
         description="Scalarization sweeps, verification and brute-force "
                     "checks for lattice-valued minimization.")
@@ -103,19 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("cvp", help="discretized variational sweep")
     _add_common(pc)
+    pc.add_argument("--tol", type=float, default=PHI_TOL, help="translation check tolerance")
     pc.add_argument("--base-res", type=int, default=None,
                     help="number of scalarization directions")
     pc.add_argument("--mesh", type=int, default=None, help="mesh intervals")
     pc.add_argument("--grad-tol", type=float, default=GRAD_TOL,
                     help="gradient sup-norm stopping tolerance")
 
-    pl = sub.add_parser("catalog", help="list built-in problems")
-    pl.add_argument("--out", default=None, help=argparse.SUPPRESS)
+    sub.add_parser("catalog", help="list built-in problems")
     return p
-
-
-def _formats(args) -> set:
-    return {t.strip() for t in args.format.split(",") if t.strip()}
 
 
 def _outdir(args) -> Path:
@@ -187,7 +197,6 @@ def _verify_and_emit(args, prob, base, cand, results, prefix) -> int:
                                 co_extra=args.co_samples, seed=args.seed)
     sweep_rows = None if results is None else _sweep_rows(results, report.alphas)
     out = _outdir(args)
-    formats = _formats(args)
     config = {
         "command": prefix,
         "problem": args.problem or args.catalog,
@@ -199,10 +208,10 @@ def _verify_and_emit(args, prob, base, cand, results, prefix) -> int:
         "co_samples": args.co_samples,
         "merge_tol": MERGE_TOL,
     }
-    if "json" in formats:
+    if "json" in args.format:
         jsonio.write_json(out / f"{prefix}_report.json",
                           _solution_payload(report, config, sweep_rows))
-    if "csv" in formats:
+    if "csv" in args.format:
         jsonio.support_csv(out / "support.csv", base, report.candidate_minima)
         if prob.setfn.cone.dim == 2:
             jsonio.polyline_csv(out / "infimum_polyline.csv", report.infimum)
@@ -266,7 +275,7 @@ def run_oracle(args) -> int:
         ok = com.passed and lem.passed
         payload.update({"commutation_campaign": com.as_dict(),
                         "lemma_campaign": lem.as_dict()})
-    if "json" in _formats(args):
+    if "json" in args.format:
         jsonio.write_json(out / "oracle_report.json", payload)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -280,15 +289,13 @@ def run_cvp(args) -> int:
         cvp = dataclasses.replace(cvp, mesh=args.mesh)
     if args.base_res:
         cvp = dataclasses.replace(cvp, directions=catalog.cvp_directions(count=args.base_res))
-    phi_tol = args.tol if args.tol is not None else PHI_TOL
     report = cvp_sweep(cvp.lagrangian, cvp.directions, cvp.boundary, cvp.mesh,
-                       grad_tol=args.grad_tol, phi_tol=phi_tol, seed=args.seed)
+                       grad_tol=args.grad_tol, phi_tol=args.tol, seed=args.seed)
     out = _outdir(args)
-    formats = _formats(args)
     config = {"command": "cvp", "problem": args.problem or cvp.name, "mesh": cvp.mesh,
-              "grad_tol": args.grad_tol, "phi_tol": phi_tol, "seed": args.seed,
+              "grad_tol": args.grad_tol, "phi_tol": args.tol, "seed": args.seed,
               "directions": len(cvp.directions)}
-    if "json" in formats:
+    if "json" in args.format:
         payload = jsonio.base_report(config)
         payload.update({
             "directions": report.directions,
@@ -302,7 +309,7 @@ def run_cvp(args) -> int:
                             "pass": report.translation_pass},
         })
         jsonio.write_json(out / "cvp_report.json", payload)
-    if "csv" in formats:
+    if "csv" in args.format:
         jsonio.front_csv(out / "front.csv", report)
         jsonio.arcs_csv(out / "arcs.csv", report)
     if not report.all_converged:
@@ -328,10 +335,10 @@ def run_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"solve": run_solve, "verify": run_verify, "oracle": run_oracle,
                 "cvp": run_cvp, "catalog": run_catalog}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except SetOptError as exc:
         print(f"error: {exc}", file=sys.stderr)

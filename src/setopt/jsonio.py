@@ -34,8 +34,7 @@ from ._version import __version__
 from .calcvar import Boundary
 from .cones import Cone, cone_generated, cone_orthant
 from .errors import InputFormatError
-from .oracle import FiniteInstance
-from .setfuns import Box, Grid, SetFunction
+from .setfuns import Box, FiniteInstance, Grid, SetFunction
 from .uppersets import UpperSet, boundary_polyline
 
 
@@ -108,7 +107,9 @@ def _space_from_dict(d):
     raise InputFormatError(f"unknown space kind {d['kind']!r}")
 
 
-def _table_entries(table, cone):
+def _table_instance(d: dict, table, default_label: str) -> FiniteInstance:
+    """The file's ``table`` rows over its ``cone`` as a finite instance."""
+    cone = cone_from_dict(d["cone"])
     xs, vals = [], []
     for row in table:
         if not isinstance(row, dict) or "x" not in row or "generators" not in row:
@@ -117,7 +118,7 @@ def _table_entries(table, cone):
         vals.append(value_from_dict({"generators": row["generators"]}, cone))
     if not xs:
         raise InputFormatError("table must be nonempty")
-    return np.stack(xs), vals
+    return FiniteInstance(np.stack(xs), vals, cone, label=d.get("label", default_label))
 
 
 def _points(d: dict, key: str):
@@ -143,9 +144,7 @@ def problem_from_dict(d: dict):
     if isinstance(obj, dict) and "table" in obj:
         if "cone" not in d:
             raise InputFormatError("table problems need a 'cone' field")
-        cone = cone_from_dict(d["cone"])
-        xs, vals = _table_entries(obj["table"], cone)
-        fn = SetFunction.from_table(cone, xs, vals, label=d.get("label", "table"))
+        fn = _table_instance(d, obj["table"], "table")
         return catalog.table_problem(fn), _points(d, "m")
     raise InputFormatError("objective needs either 'catalog' or 'table'")
 
@@ -155,9 +154,7 @@ def instance_from_dict(d: dict):
     fields defaulted by :func:`catalog.instance_inputs`."""
     if "cone" not in d or "table" not in d:
         raise InputFormatError("instance needs 'cone' and 'table'")
-    cone = cone_from_dict(d["cone"])
-    xs, vals = _table_entries(d["table"], cone)
-    inst = FiniteInstance(xs, vals, cone, label=d.get("label", "instance"))
+    inst = _table_instance(d, d["table"], "instance")
     return catalog.instance_inputs(inst, _points(d, "m"), _points(d, "directions"))
 
 

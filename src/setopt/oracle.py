@@ -1,11 +1,13 @@
 """Brute-force ground truth on finite instances.
 
-A finite instance pins a set-valued function down to a desk-scale table:
-a finite grid of argument points, one planar upper-set value per point.
+A finite instance (:class:`setfuns.FiniteInstance`, the table type the
+solver sweeps too) pins a set-valued function down to a desk-scale table:
+a finite grid of argument points, one upper-set value per point.
 Everything here is exhaustive arithmetic over that table: exact lattice
 infima in both the union form and the convex-hull form, enumeration of
 lattice minimizers by pairwise comparison, and clause-by-clause checks
-of the translation identities that the fast modules rely on.
+of the translation identities that the fast modules rely on.  Hulls are
+exact in the plane only, so each of these refuses non-planar values.
 
 Translations that leave the grid evaluate to the empty value (the top of
 the lattice), the same convention the set-function module uses, so the
@@ -23,8 +25,8 @@ import numpy as np
 
 from .cones import (KEY_DECIMALS, Cone, cone_orthant, cone_generated, as_matrix, as_vector,
                     dual_contains, unique_rows)
-from .errors import InvalidDimensionError, InvalidDirectionError, OutOfDomainError
-from .setfuns import Grid
+from .errors import InvalidDimensionError, InvalidDirectionError
+from .setfuns import FiniteInstance
 from .uppersets import UpperSet, equals, lattice_inf, oplus, order_geq, support
 
 #: Largest commutation gap that still counts as commuting.
@@ -34,54 +36,9 @@ COMMUTATION_TOL = 1e-12
 CAMPAIGN_SIZE = 200
 
 
-@dataclass(frozen=True)
-class FiniteInstance:
-    """A fully tabulated problem: grid points, one value per point.  The
-    points are indexed through a :class:`setfuns.Grid`, so two points with
-    one key are an input error."""
-
-    grid: np.ndarray
-    values: tuple
-    cone: Cone
-    label: str = "instance"
-
-    def __post_init__(self):
-        points = Grid(self.grid)
-        object.__setattr__(self, "_points", points)
-        object.__setattr__(self, "grid", points.points)
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != len(points):
-            raise InvalidDimensionError("every grid point needs a value")
-        if self.cone.dim != 2:
-            raise InvalidDimensionError(
-                "finite instances require planar values for exact hulls")
-        for v in self.values:
-            if not isinstance(v, UpperSet):
-                raise InvalidDimensionError("values must be upper sets")
-
-    @property
-    def size(self) -> int:
-        return self.grid.shape[0]
-
-    def index_of(self, point) -> int:
-        """Grid index of a point, or -1 when it is off the grid."""
-        i = self._points.index_of(point)
-        return -1 if i is None else i
-
-    def value_at(self, point) -> UpperSet:
-        """The tabulated value, or the empty value off the grid."""
-        i = self.index_of(point)
-        return self.values[i] if i >= 0 else UpperSet.empty(self.cone)
-
-    def subset_indices(self, points) -> tuple:
-        pts = as_matrix(points, self.grid.shape[1])
-        out = []
-        for p in pts:
-            i = self.index_of(p)
-            if i < 0:
-                raise OutOfDomainError(f"subset point {p.tolist()} is off the grid")
-            out.append(i)
-        return tuple(dict.fromkeys(out))
+def _require_planar(inst: FiniteInstance) -> None:
+    if inst.cone.dim != 2:
+        raise InvalidDimensionError("finite instances require planar values for exact hulls")
 
 
 def exact_inf(inst: FiniteInstance, subset=None):
@@ -92,6 +49,7 @@ def exact_inf(inst: FiniteInstance, subset=None):
     differ exactly when taking the hull adds points, which is the gap
     a convex solver glosses over.
     """
+    _require_planar(inst)
     if subset is None:
         idx = tuple(range(inst.size))
     else:
@@ -108,6 +66,7 @@ def exact_inf(inst: FiniteInstance, subset=None):
 def enumerate_lattice_minimizers(inst: FiniteInstance) -> np.ndarray:
     """All grid points with no strictly smaller value anywhere on the grid,
     by exhaustive pairwise comparison."""
+    _require_planar(inst)
     keep = []
     for i in range(inst.size):
         vi = inst.values[i]
@@ -221,6 +180,7 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
     honest computation); it exists so tests can corrupt the table and
     confirm the clauses actually detect it.
     """
+    _require_planar(inst)
     m_idx = inst.subset_indices(m)
     grid_idx = tuple(range(inst.size))
 
@@ -306,6 +266,7 @@ def check_commutation(inst: FiniteInstance, m, directions,
     Both routes use the +infinity convention for empty values; two infinite
     values count as a zero gap.  Directions outside the dual cone, where
     both routes are -infinity and agree vacuously, are an error."""
+    _require_planar(inst)
     m_idx = inst.subset_indices(m)
     dirs = as_matrix(directions, inst.cone.dim)
     for z in dirs:

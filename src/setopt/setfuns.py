@@ -4,7 +4,7 @@ A set function maps variable-space points to upper-set values over a
 fixed cone.  Evaluators must be pure: same point in, same value out,
 no shared mutable state.  Three evaluator families are provided:
 vector maps extended by the cone, finite generator maps, and explicit
-tables on grids.
+tables on grids (:class:`FiniteInstance`, which the oracle reads too).
 
 The inf-translation of a function by a candidate set M is the pointwise
 lattice infimum of its M-translates; the sup-translation is the
@@ -133,19 +133,53 @@ class SetFunction:
             return UpperSet(cone, gens)
         return cls(space, cone, evaluator, label=label)
 
-    @classmethod
-    def from_table(cls, cone: Cone, points, values, label: str = "table"):
-        """Explicit grid-to-value table."""
-        grid = Grid(points)
-        values = list(values)
-        if len(values) != len(grid):
-            raise InvalidDimensionError("table needs one value per grid point")
+
+class FiniteInstance(SetFunction):
+    """A fully tabulated set function: grid points, one upper-set value per
+    point, indexed through a :class:`Grid` (two points with one key are an
+    input error).  Off the grid, evaluation raises and ``value_at`` gives
+    the empty value."""
+
+    def __init__(self, grid, values, cone: Cone, label: str = "instance"):
+        space = Grid(grid)
+        self.grid = space.points
+        self.values = values = tuple(values)
+        if len(values) != len(space):
+            raise InvalidDimensionError("every grid point needs a value")
+        for v in values:
+            if not isinstance(v, UpperSet):
+                raise InvalidDimensionError("values must be upper sets")
+
         def evaluator(x: np.ndarray) -> UpperSet:
-            i = grid.index_of(x)
+            i = space.index_of(x)
             if i is None:
                 raise OutOfDomainError(f"{x} is not a grid point")
             return values[i]
-        return cls(grid, cone, evaluator, label=label)
+        super().__init__(space, cone, evaluator, label=label)
+
+    @property
+    def size(self) -> int:
+        return self.grid.shape[0]
+
+    def index_of(self, point) -> int:
+        """Grid index of a point, or -1 when it is off the grid."""
+        i = self.space.index_of(point)
+        return -1 if i is None else i
+
+    def value_at(self, point) -> UpperSet:
+        """The tabulated value, or the empty value off the grid."""
+        i = self.index_of(point)
+        return self.values[i] if i >= 0 else UpperSet.empty(self.cone)
+
+    def subset_indices(self, points) -> tuple:
+        pts = as_matrix(points, self.grid.shape[1])
+        out = []
+        for p in pts:
+            i = self.index_of(p)
+            if i < 0:
+                raise OutOfDomainError(f"subset point {p.tolist()} is off the grid")
+            out.append(i)
+        return tuple(dict.fromkeys(out))
 
 
 def _in_space(f: SetFunction, x) -> np.ndarray:

@@ -192,6 +192,20 @@ def test_oracle_directions_outside_the_dual_cone_are_an_input_error(tmp_path, ou
     assert not (outdir / "oracle_report.json").exists()
 
 
+def test_oracle_three_dimensional_instance_is_an_input_error(tmp_path, outdir, capsys):
+    inst = write_json(tmp_path / "d3.json", {
+        "cone": {"kind": "orthant", "dim": 3},
+        "table": [
+            {"x": [0.0], "generators": [[1.0, 0.0, 0.0]]},
+            {"x": [1.0], "generators": [[0.0, 1.0, 0.0]]},
+        ],
+    })
+    assert run(["oracle", "--problem", inst, "--out", outdir]) == 1
+    assert (capsys.readouterr().err
+            == "error: finite instances require planar values for exact hulls\n")
+    assert not any(outdir.iterdir())
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_oracle_nonpositive_campaign_size_is_an_input_error(outdir, capsys, count):
     assert run(["oracle", "--instances", count, "--out", outdir]) == 1
@@ -314,3 +328,46 @@ def test_solve_needs_exactly_one_source(outdir, capsys):
     assert run(["solve", "--out", outdir]) == 1
     assert run(["solve", "--catalog", "hyperbola", "--problem", "x.json",
                 "--out", outdir]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--catalog", "linear_vop", "--bogus", 1],
+    ["solve", "--catalog", "linear_vop", "--base-res", "abc"],
+    ["verify", "--catalog", "linear_vop", "--m", "1,0;0,1", "--bogus", 1],
+    ["oracle", "--catalog", "pair", "--bogus", 1],
+    ["cvp", "--mesh", 8, "--bogus", 1],
+    ["catalog", "--bogus", 1],
+    [],
+], ids=["solve", "solve-base-res", "verify", "oracle", "cvp", "catalog", "no-command"])
+def test_usage_errors_are_input_errors(tmp_path, monkeypatch, capsys, argv):
+    # exit 2 means infimizer-only; a malformed command line is an input error
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--catalog", "pair", "--tol", 1],
+    ["catalog", "--out", "x"],
+], ids=["oracle-tol", "catalog-out"])
+def test_flags_a_command_does_not_read_are_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["xml", "json,xml", ",", ""])
+def test_unknown_format_names_are_refused_before_any_work(outdir, capsys, fmt):
+    assert run(VERIFY_VOP + ["--format", fmt, "--out", outdir]) == 1
+    assert "argument --format" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["oracle", "--help"]])
+def test_help_and_version_exit_zero(argv):
+    with pytest.raises(SystemExit) as stop:
+        run(argv)
+    assert stop.value.code == 0

@@ -9,7 +9,7 @@ from setopt import catalog, jsonio
 from setopt.catalog import make_cvp
 from setopt.cones import DualBase, base_directions, cone_generated, cone_orthant, default_anchor
 from setopt.errors import InputFormatError
-from setopt.setfuns import Box, Grid
+from setopt.setfuns import Box, FiniteInstance, Grid
 from setopt.uppersets import UpperSet, equals
 
 
@@ -131,6 +131,20 @@ def test_instance_from_dict():
     assert_allclose(dirs, [[1.0, 0.0]])
     with pytest.raises(InputFormatError):
         jsonio.instance_from_dict({"cone": {"kind": "orthant", "dim": 2}})
+
+
+def test_table_problem_and_instance_files_load_to_one_type():
+    cone = {"kind": "orthant", "dim": 2}
+    rows = [{"x": [0.0, 1.0], "generators": [[1.0, 2.0], [2.0, 1.0]]},
+            {"x": [1.0, 0.0], "generators": []},
+            {"x": [1.0, 1.0], "generators": [[0.5, 3.0]]}]
+    prob, _ = jsonio.problem_from_dict({"cone": cone, "objective": {"table": rows}})
+    inst, _, _ = jsonio.instance_from_dict({"cone": cone, "table": rows})
+    assert type(prob.setfn) is type(inst) is FiniteInstance
+    assert np.array_equal(prob.setfn.grid, inst.grid)
+    assert len(prob.setfn.values) == len(inst.values) == 3
+    assert all(equals(a, b) for a, b in zip(prob.setfn.values, inst.values))
+    assert (prob.setfn.label, inst.label) == ("table", "instance")
 
 
 @pytest.mark.parametrize("cone", [

@@ -37,6 +37,22 @@ def test_instance_rejects_points_with_one_key():
     assert [inst.index_of([x]) for x in (0.0, 1e-6, 1.0)] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("check", [
+    exact_inf,
+    enumerate_lattice_minimizers,
+    minimizers_form_infimizer,
+    lambda inst: check_inf_translation_lemma(inst, inst.grid),
+    lambda inst: check_commutation(inst, inst.grid, np.ones((1, 3))),
+], ids=["exact_inf", "minimizers", "form_infimizer", "lemma", "commutation"])
+def test_checks_refuse_values_outside_the_plane(check):
+    # a 3-D table is a valid instance; only the exact planar hulls refuse it
+    c3 = cone_orthant(3)
+    inst = FiniteInstance([[0.0], [1.0]], [UpperSet.from_point(c3, [1.0, 0.0, 0.0]),
+                                           UpperSet.from_point(c3, [0.0, 1.0, 0.0])], c3)
+    with pytest.raises(InvalidDimensionError, match="require planar values"):
+        check(inst)
+
+
 def test_chain_minimizer_is_bottom_of_chain():
     inst = chain_instance()
     mins = enumerate_lattice_minimizers(inst)

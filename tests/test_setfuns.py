@@ -7,7 +7,7 @@ from setopt.errors import (ConeMismatchError, EmptyCandidateError,
                            InvalidDimensionError,
                            InvalidDirectionError, OutOfDomainError,
                            UnsupportedDimensionError)
-from setopt.setfuns import (Box, CandidateSet, Grid, ScalarizationProfile,
+from setopt.setfuns import (Box, CandidateSet, FiniteInstance, Grid, ScalarizationProfile,
                             SetFunction, convex_sample_points, evaluate,
                             evaluate_or_empty, inf_translation, scalarize,
                             scalarized_inf_translation, sup_translation)
@@ -85,7 +85,7 @@ def test_from_generator_map():
 def test_from_table():
     pts = np.array([[0.0], [1.0]])
     vals = [UpperSet.from_point(C2, [1.0, 1.0]), UpperSet.empty(C2)]
-    f = SetFunction.from_table(C2, pts, vals)
+    f = FiniteInstance(pts, vals, C2)
     assert equals(evaluate(f, np.array([0.0])), vals[0])
     assert evaluate(f, np.array([1.0])).is_empty
     with pytest.raises(OutOfDomainError):
@@ -250,7 +250,7 @@ def test_scalarization_profile_build_and_recheck():
     vals = [UpperSet(c3, rng.uniform(0.5, 4.0, size=(k, 3))) for k in (1, 3, 4)]
     vals.insert(2, UpperSet.empty(c3))
     grid_pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    table = SetFunction.from_table(c3, grid_pts, vals)
+    table = FiniteInstance(grid_pts, vals, c3)
     prof = _profile_matching_support_loop(
         table, base_directions(c3, np.ones(3), 4), grid_pts)
     assert np.all(prof.values[:, 2] == np.inf)

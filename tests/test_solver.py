@@ -8,13 +8,13 @@ from setopt.catalog import make_problem, pair_instance
 from setopt.cones import base_directions, cone_orthant, default_anchor, interior_base
 from setopt.errors import EmptyCandidateError, InfeasibleProblemError, InvalidDirectionError
 from setopt.oracle import enumerate_lattice_minimizers, random_instance
-from setopt.setfuns import (Box, CandidateSet, Grid, SetFunction,
+from setopt.setfuns import (Box, CandidateSet, FiniteInstance, Grid, SetFunction,
                             convex_sample_points, evaluate, scalarize)
 from setopt.solver import (ScalarMinResult, SearchOptions,
                            collect_candidate, probe_points, scalar_minimize,
                            sweep, verify_infimizer, verify_lattice_minimizer,
                            verify_sc_solution)
-from setopt.uppersets import UpperSet, equals, lattice_inf
+from setopt.uppersets import UpperSet, equals, lattice_inf, support
 
 C2 = cone_orthant(2)
 
@@ -35,8 +35,8 @@ def test_grid_minimize_is_exact():
 
 
 def test_grid_minimize_all_infeasible():
-    f = SetFunction.from_table(C2, np.array([[0.0], [1.0]]),
-                               [UpperSet.empty(C2), UpperSet.empty(C2)])
+    f = FiniteInstance(np.array([[0.0], [1.0]]),
+                       [UpperSet.empty(C2), UpperSet.empty(C2)], C2)
     with pytest.raises(InfeasibleProblemError):
         scalar_minimize(f, np.array([1.0, 1.0]))
 
@@ -70,7 +70,7 @@ def _table3d_grid(calls):
     xs = rng.uniform(0.0, 10.0, size=(30, 2))
     values = [UpperSet(c3, rng.uniform(0.0, 4.0, size=(4, 3))) for _ in xs]
     values[5] = UpperSet.empty(c3)
-    table = SetFunction.from_table(c3, xs, values)
+    table = FiniteInstance(xs, values, c3)
 
     def evaluator(x):
         calls.append(x)
@@ -99,6 +99,23 @@ def test_grid_sweep_matches_point_loop(make):
         scalar_minimize(f, -z)
     with pytest.raises(InvalidDirectionError):
         scalar_minimize(f, 0.0 * z)
+
+
+def test_three_dimensional_instance_sweeps_and_verifies():
+    # the oracle's table type is the solver's: a 3-D table needs no
+    # conversion, only the oracle's exact hulls need planar values
+    rng = np.random.default_rng(4)
+    c3 = cone_orthant(3)
+    grid = rng.uniform(-1.0, 1.0, size=(12, 2))
+    inst = FiniteInstance(grid, [UpperSet(c3, rng.uniform(0.0, 3.0, size=(3, 3)))
+                                 for _ in grid], c3)
+    base = base_directions(c3, default_anchor(c3), 5)
+    results = sweep(inst, base)
+    for r, z in zip(results, base.directions):
+        best = min(support(v, z) for v in inst.values)
+        assert abs(r.value - best) <= 4.5e-16 * abs(best)
+    rep = verify_sc_solution(inst, collect_candidate(results), base, inst.grid)
+    assert rep.max_gap == 0.0
 
 
 def test_box_minimize_hyperbola_interior_direction():
@@ -223,14 +240,13 @@ def test_verify_lattice_minimizer_on_exhaustive_grid():
 ], ids=["pair", "random11"])
 def test_verify_sc_solution_evaluates_each_point_once(make):
     inst = make()
-    table = SetFunction.from_table(inst.cone, inst.grid, list(inst.values))
     calls = []
 
     def evaluator(x):
         calls.append(x)
-        return evaluate(table, x)
+        return evaluate(inst, x)
 
-    f = SetFunction(table.space, table.cone, evaluator)
+    f = SetFunction(inst.space, inst.cone, evaluator)
     m = CandidateSet(inst.grid)
     base = base_directions(inst.cone, default_anchor(inst.cone), 6)
     rep = verify_sc_solution(f, m, base, inst.grid, co_extra=8, seed=2)
