@@ -21,17 +21,15 @@ from .errors import (ConeMismatchError, DerivativeMismatchError,
                      NonPointedConeError, OutOfDomainError, SetOptError,
                      UnsupportedDimensionError)
 from .uppersets import (UpperSet, boundary_polyline, contains_point, equals,
-                        lattice_inf, lattice_sup_2d, oplus, order_geq, prune,
-                        reflect, scale, support)
+                        lattice_inf, oplus, order_geq, prune, scale, support)
 from .setfuns import (Box, CandidateSet, FiniteInstance, Grid, ScalarizationProfile,
                       SetFunction, convex_sample_points, evaluate,
                       evaluate_or_empty, inf_translation, scalarize,
-                      scalarized_inf_translation, sup_translation)
-from .solver import (InfimizerGaps, ScalarMinResult, SearchOptions,
-                     SolutionReport, collect_candidate,
-                     default_tol, probe_points, scalar_minimize, sweep,
-                     verify_infimizer, verify_lattice_minimizer,
-                     verify_sc_solution)
+                      scalarized_inf_translation)
+from .solver import (InfimizerGaps, ScalarMinResult, SolutionReport,
+                     collect_candidate, default_tol, probe_points,
+                     scalar_minimize, sweep, verify_infimizer,
+                     verify_lattice_minimizer, verify_sc_solution)
 from .oracle import (CampaignReport, LemmaReport,
                      campaign_commutation, campaign_lemma, check_commutation,
                      check_inf_translation_lemma, corrupting_override,

@@ -29,8 +29,8 @@ from .oracle import (CAMPAIGN_SIZE, COMMUTATION_TOL, campaign_commutation, campa
                      check_commutation, check_inf_translation_lemma, corrupting_override,
                      enumerate_lattice_minimizers)
 from .setfuns import CO_SAMPLES, CandidateSet
-from .solver import (MERGE_TOL, PROBE_RESOLUTION, SearchOptions, collect_candidate,
-                     probe_points, sweep, verify_sc_solution)
+from .solver import (MERGE_TOL, PROBE_RESOLUTION, collect_candidate, probe_points, sweep,
+                     verify_sc_solution)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,8 +74,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", help="catalog problem name")
     p.add_argument("--seed", type=int, default=1, help="seed for all sampling")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", type=_format_list, default="json,csv",
-                   help="comma list of output formats (json, csv)")
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
@@ -123,6 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mesh", type=int, default=None, help="mesh intervals")
     pc.add_argument("--grad-tol", type=float, default=GRAD_TOL,
                     help="gradient sup-norm stopping tolerance")
+
+    # oracle writes its one JSON report, so it takes no --format
+    for q in (ps, pv, pc):
+        q.add_argument("--format", type=_format_list, default="json,csv",
+                       help="comma list of output formats (json, csv)")
 
     sub.add_parser("catalog", help="list built-in problems")
     return p
@@ -221,7 +224,7 @@ def _verify_and_emit(args, prob, base, cand, results, prefix) -> int:
 def run_solve(args) -> int:
     prob, _ = _load_problem(args)
     base = _base_for(prob, args)
-    results = sweep(prob.setfn, base, SearchOptions(start=prob.start))
+    results = sweep(prob.setfn, base, start=prob.start)
     return _verify_and_emit(args, prob, base, collect_candidate(results), results, "solve")
 
 
@@ -275,8 +278,7 @@ def run_oracle(args) -> int:
         ok = com.passed and lem.passed
         payload.update({"commutation_campaign": com.as_dict(),
                         "lemma_campaign": lem.as_dict()})
-    if "json" in args.format:
-        jsonio.write_json(out / "oracle_report.json", payload)
+    jsonio.write_json(out / "oracle_report.json", payload)
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -4,9 +4,10 @@ A cone is described twice: by primal generators (the cone is their conic
 hull) and by dual generators (the dual cone is the conic hull of those).
 Both descriptions are user supplied and cross-validated at construction;
 the exact planar machinery downstream relies on the dual list generating
-the full dual cone.  A cone also owns the geometry derived from it; the
-planar basis and the d >= 3 certificate directions are computed on first
-use, so a cone whose planar geometry is degenerate still constructs.
+the full dual cone, which the planar basis checks.  A cone also owns the
+geometry derived from it; the planar basis and the d >= 3 certificate
+directions are computed on first use, so a cone whose planar geometry is
+degenerate still constructs.
 
 All vectors are numpy float arrays.  Cones are immutable after
 construction.
@@ -181,6 +182,14 @@ class Cone:
             raise UnsupportedDimensionError(
                 "planar cone has dependent extreme dual rays; exact geometry "
                 "needs a full-dimensional cone"
+            )
+        # The dual list generates C+ iff its extreme rays are the normals of
+        # C's extreme rays; otherwise the staircase is wrong.
+        normal = np.abs(b @ np.stack(extreme_rays_2d(self.unit_primal)).T) <= TOL_GEOM
+        if not (normal.any(axis=0).all() and normal.any(axis=1).all()):
+            raise InconsistentConeError(
+                "dual generators do not generate the dual cone: its extreme rays "
+                "must be normal to the extreme primal rays"
             )
         b.flags.writeable = False
         return b
@@ -361,12 +370,6 @@ def extreme_rays_2d(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = vs[order[(widest + 1) % len(order)]]
     hi = vs[order[widest]]
     return lo, hi
-
-
-def reflected(cone: Cone) -> Cone:
-    """The cone ``-C`` (primal and dual generators negated).  Used to carry
-    maximization problems through the minimization machinery."""
-    return Cone(-cone.primal, -cone.dual, kind="generated")
 
 
 def default_anchor(cone: Cone) -> np.ndarray:

@@ -7,11 +7,10 @@ vector maps extended by the cone, finite generator maps, and explicit
 tables on grids (:class:`FiniteInstance`, which the oracle reads too).
 
 The inf-translation of a function by a candidate set M is the pointwise
-lattice infimum of its M-translates; the sup-translation is the
-pointwise supremum.  Translated points that leave the variable space
-contribute the empty value, and the translated function lives on the
-correspondingly extended space, which keeps the global infimum exactly
-invariant.
+lattice infimum of its M-translates.  Translated points that leave the
+variable space contribute the empty value, and the translated function
+lives on the correspondingly extended space, which keeps the global
+infimum exactly invariant.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, DualBase, TOL_GEOM, as_matrix, as_vector, dual_contains, point_key,
-                    reflected, unique_rows)
+from .cones import (Cone, DualBase, as_matrix, as_vector, dual_contains, point_key,
+                    unique_rows)
 from .errors import (
     ConeMismatchError,
     EmptyCandidateError,
@@ -30,9 +29,8 @@ from .errors import (
     InvalidDimensionError,
     InvalidDirectionError,
     OutOfDomainError,
-    UnsupportedDimensionError,
 )
-from .uppersets import UpperSet, lattice_inf, lattice_sup_2d, support
+from .uppersets import UpperSet, lattice_inf, support
 
 #: Seeded random convex combinations that sample a candidate's hull in
 #: the verifier's hull gap.
@@ -301,50 +299,6 @@ def scalarized_inf_translation(f: SetFunction, m: CandidateSet, zstar, x) -> flo
     ys = _translation_points(f, m)
     x = as_vector(x, f.space.dim)
     return min(_scalarize_or_inf(f, z, x + y) for y in ys)
-
-
-def _join_via_reflected_min(cone: Cone, points: np.ndarray) -> np.ndarray:
-    """Cone-order join of vectors for simplicial cones: negate, take the
-    cone-coordinate minimum in the reflected problem, negate back."""
-    g = cone.primal.T
-    if g.shape[0] != g.shape[1] or abs(np.linalg.det(g)) <= TOL_GEOM:
-        raise UnsupportedDimensionError(
-            "vector-level joins need a simplicial cone (d independent generators)"
-        )
-    coords = np.linalg.solve(g, points.T).T
-    reflected_min = np.min(-coords, axis=0)
-    return g @ (-reflected_min)
-
-
-def sup_translation(f: SetFunction, m: CandidateSet) -> SetFunction:
-    """The pointwise lattice supremum of the M-translates
-    ``x -> sup {f(x + y) : y in M}`` (intersection of values).
-
-    Planar values intersect exactly; in other dimensions only
-    singleton-generated values over simplicial cones are supported, via
-    the reflected-minimization join.
-    """
-    ys = _translation_points(f, m)
-    space = _translated_space(f.space, ys)
-    cone = f.cone
-    # Constructed eagerly so invalid reflections fail at build time.
-    _ = reflected(cone)
-
-    def evaluator(x: np.ndarray) -> UpperSet:
-        family = [evaluate_or_empty(f, x + y) for y in ys]
-        if any(v.is_empty for v in family):
-            return UpperSet.empty(cone)
-        if cone.dim == 2:
-            return lattice_sup_2d(family)
-        if all(v.generators.shape[0] == 1 for v in family):
-            pts = np.concatenate([v.generators for v in family], axis=0)
-            return UpperSet.from_point(cone, _join_via_reflected_min(cone, pts))
-        raise UnsupportedDimensionError(
-            "sup-translation outside the plane needs singleton-generated values"
-        )
-
-    return SetFunction(space, cone, evaluator,
-                       label=f"sup-translation of {f.label} by {m.label}")
 
 
 class ScalarizationProfile:

@@ -54,13 +54,6 @@ def default_tol(space) -> float:
 
 
 @dataclass
-class SearchOptions:
-    """Options for :func:`scalar_minimize` on box spaces."""
-
-    start: np.ndarray | None = None
-
-
-@dataclass
 class ScalarMinResult:
     direction: np.ndarray
     minimizer: np.ndarray | None
@@ -70,25 +63,24 @@ class ScalarMinResult:
     note: str = ""
 
 
-def scalar_minimize(f: SetFunction, zstar, opts: SearchOptions | None = None) -> ScalarMinResult:
+def scalar_minimize(f: SetFunction, zstar, *, start=None) -> ScalarMinResult:
     """Minimize the z*-scalarization of f over its variable space.
 
     A grid is a one-direction :func:`sweep`.  Boxes run a compass pattern
     search (axis and paired-diagonal directions, expansion x2, contraction
     x0.5, relative step from 0.25 down to ``STEP_TOL``, at most 200000
-    evaluations) from ``opts.start`` when feasible, else from the best
+    evaluations) from ``start`` when feasible, else from the best
     point of a 17-per-axis scan; a minimizer pinned to a box face with the
     descent direction pointing out of the box is flagged as suspected
     non-attainment (``converged=False``).
     """
-    opts = opts or SearchOptions()
     z = as_vector(zstar, f.cone.dim)
     if isinstance(f.space, Grid):
         if not np.any(z):
             raise InvalidDirectionError("the zero direction scalarizes nothing")
         # Anchored at z / |z|^2, the one-direction base holds z itself.
         return sweep(f, DualBase(f.cone, z / (z @ z), [z]))[0]
-    return _compass_search(f, z, opts.start)
+    return _compass_search(f, z, start)
 
 
 def _feasible_start(f: SetFunction, z: np.ndarray, start) -> tuple[np.ndarray, float]:
@@ -181,17 +173,17 @@ def _pinned_descending(f: SetFunction, z: np.ndarray, x: np.ndarray, value: floa
     return False
 
 
-def sweep(f: SetFunction, base: DualBase, opts: SearchOptions | None = None) -> list[ScalarMinResult]:
+def sweep(f: SetFunction, base: DualBase, *, start=None) -> list[ScalarMinResult]:
     """Minimize every base direction: on a grid, read each direction's
     minimum off one profile of the grid points; on a box, run
-    :func:`scalar_minimize`.  Per-direction infeasibility becomes a
-    flagged result, never an abort."""
+    :func:`scalar_minimize` from ``start``.  Per-direction infeasibility
+    becomes a flagged result, never an abort."""
     grid = isinstance(f.space, Grid)
     rows = ScalarizationProfile.build(f, base, f.space.points).values if grid else [None] * len(base)
     results = []
     for z, row in zip(base.directions, rows):
         try:
-            results.append(_row_minimum(f, z, row) if grid else scalar_minimize(f, z, opts))
+            results.append(_row_minimum(f, z, row) if grid else scalar_minimize(f, z, start=start))
         except InfeasibleProblemError as exc:
             results.append(ScalarMinResult(np.asarray(z, dtype=float), None, math.inf,
                                            iterations=0, converged=False, note=str(exc)))
@@ -337,7 +329,7 @@ class SolutionReport:
 
 def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
                        tol: float | None = None, *, co_extra: int = CO_SAMPLES,
-                       seed: int = 1, check_lattice_min: bool = True) -> SolutionReport:
+                       seed: int = 1) -> SolutionReport:
     """Full verdict: infimizer gaps, convex-hull gap, and the sc-condition
     that every candidate point minimizes some scalarization direction
     (residual = min over directions of its value above the probe's best)."""
@@ -347,20 +339,16 @@ def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
         raise InputFormatError(f"the verdict tolerance must be nonnegative, got {tol!r}")
     gaps = verify_infimizer(f, m, base, probe, co_extra=co_extra, seed=seed)
     probe = gaps.probe.points
-    # The profiles score off-space points as empty values; the candidate,
-    # and the probe when the lattice check reads it, must lie in the space.
-    checked = np.concatenate([m.points, probe]) if check_lattice_min else m.points
-    for x in checked:
+    # The profiles score off-space points as empty values; the candidate
+    # and the probe, which the lattice check reads, must lie in the space.
+    for x in np.concatenate([m.points, probe]):
         _in_space(f, x)
     per_dir = gaps.candidate.values - gaps.probe_minima[:, None]
     per_dir = np.where(np.isnan(per_dir), math.inf, per_dir)
     best = np.argmin(per_dir, axis=0)
     residuals = per_dir[best, np.arange(len(m))]
     res_dir = base.directions[best]
-    lattice_ok = []
-    if check_lattice_min:
-        lattice_ok = [verify_lattice_minimizer(v, gaps.probe.sets)
-                      for v in gaps.candidate.sets]
+    lattice_ok = [verify_lattice_minimizer(v, gaps.probe.sets) for v in gaps.candidate.sets]
     gaps_pass = gaps.max_gap <= tol and gaps.co_gap <= tol
     cond3_pass = bool(np.all(residuals <= tol))
     if gaps_pass and cond3_pass:

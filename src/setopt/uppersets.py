@@ -10,8 +10,11 @@ is normalized into dual-ray coordinates (the cone's ``planar_basis``),
 where the cone becomes the nonnegative orthant and the minimal boundary
 is a southwest staircase.  For d >= 3 containment falls back to a
 sampled-direction support certificate over the cone's
-``certificate_directions`` (sound up to the sampled directions).  Each
-value computes its minimal frontier once, and :func:`prune` returns it.
+``certificate_directions``.  That certificate is approximate: a point
+outside a value can pass every sampled direction, so :func:`prune` can
+drop a generator the value needs (it does on the benchmark's
+``fixed_table1`` table).  Each value computes its minimal frontier once,
+and :func:`prune` returns it.
 """
 
 from __future__ import annotations
@@ -233,43 +236,6 @@ def lattice_inf(values) -> UpperSet:
     return prune(UpperSet(cone, np.concatenate(gens, axis=0)))
 
 
-def lattice_sup_2d(values) -> UpperSet:
-    """Lattice supremum (intersection) of planar values by half-plane
-    intersection in staircase coordinates."""
-    values = list(values)
-    if not values:
-        raise EmptyFamilyError("lattice_sup_2d needs a nonempty family")
-    cone = _require_same_cone(*values)
-    if cone.dim != 2:
-        raise UnsupportedDimensionError("lattice_sup_2d handles d = 2 only")
-    if any(v.is_empty for v in values):
-        return UpperSet.empty(cone)
-    if len(values) == 1:
-        return prune(values[0])
-    facets: list[tuple[np.ndarray, float]] = []
-    for v in values:
-        facets.extend(v.facets())
-    scale_ = max(1.0, max(abs(h) for _, h in facets))
-    candidates: list[np.ndarray] = []
-    for i in range(len(facets)):
-        ni, hi = facets[i]
-        for j in range(i + 1, len(facets)):
-            nj, hj = facets[j]
-            det = ni[0] * nj[1] - ni[1] * nj[0]
-            if abs(det) <= 1e-12:
-                continue
-            u = np.linalg.solve(np.stack([ni, nj]), np.array([hi, hj]))
-            candidates.append(u)
-    feasible = [
-        u for u in candidates
-        if all(n @ u >= h - TOL_GEOM * scale_ * 10 for n, h in facets)
-    ]
-    if not feasible:
-        return UpperSet.empty(cone)
-    points = np.linalg.solve(cone.planar_basis, np.stack(feasible).T).T
-    return prune(UpperSet(cone, points))
-
-
 def support(a: UpperSet, zstar) -> float:
     """Lower support value ``inf {z* @ z : z in A}``.
 
@@ -343,9 +309,3 @@ def boundary_polyline(a: UpperSet) -> tuple[np.ndarray, np.ndarray]:
     ])
     return verts, rays
 
-
-def reflect(a: UpperSet, reflected_cone: Cone) -> UpperSet:
-    """The pointwise reflection ``-A`` as a value over the reflected cone."""
-    if a.is_empty:
-        return UpperSet.empty(reflected_cone)
-    return UpperSet(reflected_cone, -a.generators)

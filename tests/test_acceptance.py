@@ -22,8 +22,8 @@ from setopt.cones import base_directions, cone_orthant
 from setopt.oracle import (campaign_commutation, campaign_lemma,
                            check_inf_translation_lemma, random_instance)
 from setopt.setfuns import CandidateSet, scalarized_inf_translation
-from setopt.solver import (SearchOptions, collect_candidate, probe_points,
-                           scalar_minimize, sweep, verify_sc_solution)
+from setopt.solver import (collect_candidate, probe_points, scalar_minimize, sweep,
+                           verify_sc_solution)
 from setopt.uppersets import UpperSet, equals
 
 from test_properties import random_dual_dirs, random_upper_set, support_gap
@@ -69,15 +69,16 @@ def test_criterion_02_hyperbola_translation_piecewise(criterion):
 def test_criterion_03_non_attainment_vs_interior_convergence(criterion):
     with criterion(3, "extreme directions flagged, interior ones solved") as c:
         prob = make_problem("hyperbola")
-        opts = SearchOptions(start=prob.start)
         flagged = []
         for alpha in (0.0, 1.0):
-            r = scalar_minimize(prob.setfn, np.array([alpha, 1 - alpha]), opts)
+            r = scalar_minimize(prob.setfn, np.array([alpha, 1 - alpha]),
+                                start=prob.start)
             flagged.append(not r.converged)
         worst = 0.0
         solved = []
         for alpha in np.linspace(0.1, 0.9, 9):
-            r = scalar_minimize(prob.setfn, np.array([alpha, 1 - alpha]), opts)
+            r = scalar_minimize(prob.setfn, np.array([alpha, 1 - alpha]),
+                                start=prob.start)
             solved.append(r.converged)
             worst = max(worst,
                         abs(r.minimizer[0] - math.sqrt((1 - alpha) / alpha)))
@@ -267,7 +268,7 @@ def test_criterion_09_scalar_problem_reduction(criterion):
     with criterion(9, "one-dimensional case reduces to scalar minimization") as c:
         prob = make_problem("scalar_identity")
         base = base_directions(prob.setfn.cone, prob.anchor, 1)
-        results = sweep(prob.setfn, base, SearchOptions(start=prob.start))
+        results = sweep(prob.setfn, base, start=prob.start)
         cand = collect_candidate(results)
         probe = probe_points(prob.setfn.space, 33)
         rep = verify_sc_solution(prob.setfn, cand, base, probe)

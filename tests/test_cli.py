@@ -121,14 +121,12 @@ def test_verify_off_space_candidate_is_an_input_error(outdir, capsys):
     probe = probe_points(f.space, 5)
     with pytest.raises(OutOfDomainError, match=r"\[5.0, 5.0\] lies outside"):
         verify_sc_solution(f, CandidateSet(np.array([[5.0, 5.0], [1.0, 0.0]])),
-                           base, probe, check_lattice_min=False)
-    # the probe must lie in the space only when the lattice check reads it
+                           base, probe)
+    # the probe must lie in the space too
     m = CandidateSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
     off_probe = np.concatenate([probe, [[5.0, 5.0]]])
     with pytest.raises(OutOfDomainError, match=r"\[5.0, 5.0\] lies outside"):
         verify_sc_solution(f, m, base, off_probe)
-    assert verify_sc_solution(f, m, base, off_probe,
-                              check_lattice_min=False).verdict == "sc-solution"
 
 
 def test_oracle_chain_instance(tmp_path, outdir):
@@ -324,6 +322,21 @@ def test_infeasible_table_is_input_error(tmp_path, outdir, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_cone_whose_dual_list_misses_part_of_the_dual_cone_is_input_error(
+        tmp_path, outdir, capsys):
+    prob = write_json(tmp_path / "cone.json", {
+        "cone": {"kind": "generated", "primal": [[1.0, 0.0], [0.0, 1.0]],
+                 "dual": [[1.0, 1.0], [1.0, 2.0]]},
+        "objective": {"table": [
+            {"x": [0.0], "generators": [[0.0, 0.0]]},
+            {"x": [1.0], "generators": [[2.0, -0.5]]},
+        ]},
+    })
+    assert run(["solve", "--problem", prob, "--out", outdir]) == 1
+    assert "do not generate the dual cone" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
 def test_solve_needs_exactly_one_source(outdir, capsys):
     assert run(["solve", "--out", outdir]) == 1
     assert run(["solve", "--catalog", "hyperbola", "--problem", "x.json",
@@ -351,7 +364,8 @@ def test_usage_errors_are_input_errors(tmp_path, monkeypatch, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["oracle", "--catalog", "pair", "--tol", 1],
     ["catalog", "--out", "x"],
-], ids=["oracle-tol", "catalog-out"])
+    ["oracle", "--catalog", "pair", "--format", "csv"],
+], ids=["oracle-tol", "catalog-out", "oracle-format"])
 def test_flags_a_command_does_not_read_are_refused(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1

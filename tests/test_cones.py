@@ -5,10 +5,11 @@ from numpy.testing import assert_allclose
 from setopt.cones import (TOL_GEOM, DualBase, as_matrix, as_vector, base_directions,
                           cone_generated, cone_orthant, default_anchor,
                           dual_contains, extreme_rays_2d, interior_base,
-                          reflected, simplex_grid)
+                          simplex_grid)
 from setopt.errors import (InconsistentConeError, InvalidAnchorError,
                            InvalidDimensionError, InvalidDirectionError,
                            NonPointedConeError)
+from setopt.uppersets import UpperSet, contains_point
 
 
 def test_as_vector_coercion():
@@ -193,9 +194,14 @@ def test_anchor_must_be_positive_on_duals():
         base_directions(c, [1.0, 0.0], 4)
 
 
-def test_reflected_cone():
-    c = cone_generated([[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, -1.0]])
-    r = reflected(c)
-    assert_allclose(r.primal, -c.primal)
-    assert_allclose(r.dual, -c.dual)
-    assert reflected(r) == c or np.allclose(reflected(r).primal, c.primal)
+@pytest.mark.parametrize("primal, dual, outside", [
+    # both dual rays lie in R^2_+ = C+ but span only part of it
+    (np.eye(2), [[1.0, 1.0], [1.0, 2.0]], [2.0, -0.5]),
+    # C is the ray through (1, 0), so C+ is the half-plane z1 >= 0
+    ([[1.0, 0.0]], np.eye(2), [0.0, 1.0]),
+], ids=["narrow-dual", "ray-cone"])
+def test_planar_dual_list_must_generate_the_dual_cone(primal, dual, outside):
+    # the staircase would count a point outside the value as inside
+    c = cone_generated(primal, dual)
+    with pytest.raises(InconsistentConeError, match="do not generate the dual cone"):
+        contains_point(UpperSet.from_point(c, [0.0, 0.0]), outside)

@@ -4,13 +4,12 @@ from numpy.testing import assert_allclose
 
 from setopt.cones import base_directions, cone_generated, cone_orthant, interior_base
 from setopt.errors import (ConeMismatchError, EmptyCandidateError,
-                           InvalidDimensionError,
-                           InvalidDirectionError, OutOfDomainError,
-                           UnsupportedDimensionError)
+                           InvalidDimensionError, InvalidDirectionError,
+                           OutOfDomainError)
 from setopt.setfuns import (Box, CandidateSet, FiniteInstance, Grid, ScalarizationProfile,
                             SetFunction, convex_sample_points, evaluate,
                             evaluate_or_empty, inf_translation, scalarize,
-                            scalarized_inf_translation, sup_translation)
+                            scalarized_inf_translation)
 from setopt.uppersets import UpperSet, contains_point, equals, support
 
 C2 = cone_orthant(2)
@@ -157,52 +156,6 @@ def test_scalarized_translation_off_dual_rejected():
     m = CandidateSet(np.array([[1.0]]))
     with pytest.raises(InvalidDirectionError):
         scalarized_inf_translation(f, m, np.array([-1.0, 2.0]), np.array([0.0]))
-
-
-def test_sup_translation_planar_intersection():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    f = SetFunction.from_vector_map(Box([-2.0, -2.0], [2.0, 2.0]), C2,
-                                    lambda x: np.array([x[0], x[1]]))
-    m = CandidateSet(pts)
-    fsup = sup_translation(f, m)
-    v = evaluate(fsup, np.array([0.0, 0.0]))
-    # intersection of {0}+C and {(1,1)}+C is {(1,1)}+C
-    assert_allclose(v.minimal_generators(), [[1.0, 1.0]])
-
-
-def test_sup_translation_singleton_join_matches_planar():
-    pts = np.array([[0.5, -0.25], [-0.5, 0.25]])
-    f = SetFunction.from_vector_map(Box([-2.0, -2.0], [2.0, 2.0]), C2,
-                                    lambda x: np.array([x[0], x[1]]))
-    m = CandidateSet(pts)
-    fsup = sup_translation(f, m)
-    v = evaluate(fsup, np.array([0.1, 0.1]))
-    # componentwise maximum of the two translated points
-    base = np.array([0.1, 0.1])
-    expect = np.maximum(base + pts[0], base + pts[1])
-    assert_allclose(v.minimal_generators(), [expect])
-
-
-def test_sup_translation_empty_translate_is_empty():
-    f = hyper_fn(lo=0.5, hi=4.0)
-    m = CandidateSet(np.array([[0.0], [10.0]]))
-    fsup = sup_translation(f, m)
-    # x + 10 falls off the box for every x reaching the lower part
-    v = evaluate(fsup, np.array([-4.0]))
-    assert v.is_empty
-
-
-def test_sup_translation_rejects_unsupported_dimension():
-    C3 = cone_orthant(3)
-
-    def three_gen(x):
-        return [[x[0], 0.0, 0.0], [0.0, x[0], 0.0], [0.0, 0.0, x[0]]]
-
-    f = SetFunction.from_generator_map(Box([0.0], [1.0]), C3, three_gen)
-    m = CandidateSet(np.array([[0.0], [0.5]]))
-    fsup = sup_translation(f, m)
-    with pytest.raises(UnsupportedDimensionError):
-        evaluate(fsup, np.array([0.25]))
 
 
 def test_candidate_set_validation():

@@ -10,10 +10,9 @@ from setopt.errors import EmptyCandidateError, InfeasibleProblemError, InvalidDi
 from setopt.oracle import enumerate_lattice_minimizers, random_instance
 from setopt.setfuns import (Box, CandidateSet, FiniteInstance, Grid, SetFunction,
                             convex_sample_points, evaluate, scalarize)
-from setopt.solver import (ScalarMinResult, SearchOptions,
-                           collect_candidate, probe_points, scalar_minimize,
-                           sweep, verify_infimizer, verify_lattice_minimizer,
-                           verify_sc_solution)
+from setopt.solver import (ScalarMinResult, collect_candidate, probe_points,
+                           scalar_minimize, sweep, verify_infimizer,
+                           verify_lattice_minimizer, verify_sc_solution)
 from setopt.uppersets import UpperSet, equals, lattice_inf, support
 
 C2 = cone_orthant(2)
@@ -121,7 +120,7 @@ def test_three_dimensional_instance_sweeps_and_verifies():
 def test_box_minimize_hyperbola_interior_direction():
     prob = hyperbola()
     z = np.array([0.25, 0.75])
-    r = scalar_minimize(prob.setfn, z, SearchOptions(start=prob.start))
+    r = scalar_minimize(prob.setfn, z, start=prob.start)
     # argmin of a*x + (1-a)/x is sqrt((1-a)/a); optimum 2 sqrt(a(1-a))
     a = 0.25
     assert r.converged
@@ -133,7 +132,7 @@ def test_box_minimize_hyperbola_interior_direction():
 def test_box_minimize_flags_non_attainment_at_extremes(alpha):
     prob = hyperbola()
     z = np.array([alpha, 1.0 - alpha])
-    r = scalar_minimize(prob.setfn, z, SearchOptions(start=prob.start))
+    r = scalar_minimize(prob.setfn, z, start=prob.start)
     assert not r.converged
     assert "non-attainment" in r.note
 
@@ -141,7 +140,7 @@ def test_box_minimize_flags_non_attainment_at_extremes(alpha):
 def test_sweep_matches_closed_form():
     prob = hyperbola()
     base = interior_base(prob.setfn.cone, prob.anchor, 12)
-    results = sweep(prob.setfn, base, SearchOptions(start=prob.start))
+    results = sweep(prob.setfn, base, start=prob.start)
     alphas = base.alpha_coordinates()
     expect = 2 * np.sqrt(alphas * (1 - alphas))
     got = np.array([r.value for r in results])
@@ -152,7 +151,7 @@ def test_sweep_matches_closed_form():
 def test_linear_vop_sweep_attains_vertex_values():
     prob = make_problem("linear_vop")
     base = base_directions(prob.setfn.cone, prob.anchor, 20)
-    results = sweep(prob.setfn, base, SearchOptions(start=prob.start))
+    results = sweep(prob.setfn, base, start=prob.start)
     alphas = base.alpha_coordinates()
     # the scalar minimum over the wedge sits at a vertex for every direction
     expect = np.minimum(alphas, 1 - alphas)
@@ -268,8 +267,7 @@ def test_build_infimum_linear_vop():
     prob = make_problem("linear_vop")
     base = base_directions(prob.setfn.cone, prob.anchor, 40)
     m = CandidateSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    rep = verify_sc_solution(prob.setfn, m, base, probe_points(prob.setfn.space, 21),
-                             check_lattice_min=False)
+    rep = verify_sc_solution(prob.setfn, m, base, probe_points(prob.setfn.space, 21))
     expect = UpperSet(C2, np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert equals(rep.infimum, expect)
     assert equals(rep.infimum, lattice_inf([evaluate(prob.setfn, p) for p in m.points]))
@@ -312,7 +310,7 @@ def test_verify_sc_solution_infimizer_only_verdict():
 def test_scalar_identity_reduces_to_scalar_minimization():
     prob = make_problem("scalar_identity")
     base = base_directions(prob.setfn.cone, prob.anchor, 1)
-    results = sweep(prob.setfn, base, SearchOptions(start=prob.start))
+    results = sweep(prob.setfn, base, start=prob.start)
     # g(x) = (x - 2)^2 on [-5, 5]: minimum 0 at x = 2
     assert results[0].value == pytest.approx(0.0, abs=1e-9)
     assert results[0].minimizer[0] == pytest.approx(2.0, abs=1e-4)

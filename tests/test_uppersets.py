@@ -7,8 +7,8 @@ from setopt.errors import (ConeMismatchError, EmptyFamilyError,
                            GeneratorLimitError, InvalidScalarError,
                            UnsupportedDimensionError)
 from setopt.uppersets import (UpperSet, boundary_polyline, contains_point,
-                              equals, lattice_inf, lattice_sup_2d, oplus,
-                              order_geq, prune, reflect, scale, support)
+                              equals, lattice_inf, oplus, order_geq, prune,
+                              scale, support)
 
 C2 = cone_orthant(2)
 
@@ -141,27 +141,6 @@ def test_lattice_inf_ignores_empty():
     assert lattice_inf([e, e]).is_empty
 
 
-def test_lattice_sup_planar_intersection():
-    a = staircase([0.0, 0.0])
-    b = staircase([1.0, -1.0])
-    s = lattice_sup_2d([a, b])
-    assert_allclose(s.minimal_generators(), [[1.0, 0.0]])
-    # intersecting with the empty value gives the empty value
-    assert lattice_sup_2d([a, UpperSet.empty(C2)]).is_empty
-
-
-def test_lattice_sup_staircases():
-    a = staircase([0.0, 2.0], [2.0, 0.0])
-    b = staircase([1.0, 1.0])
-    s = lattice_sup_2d([a, b])
-    for p in s.minimal_generators():
-        assert contains_point(a, p) and contains_point(b, p)
-    # the corner of b on a's boundary edge survives
-    assert contains_point(s, np.array([1.5, 1.5]))
-    assert not contains_point(s, np.array([1.0, 1.0])) \
-        or contains_point(a, np.array([1.0, 1.0]))
-
-
 def test_support_values():
     a = staircase([1.0, 0.0], [0.0, 1.0])
     assert support(a, np.array([0.5, 0.5])) == pytest.approx(0.5)
@@ -213,16 +192,6 @@ def test_boundary_polyline():
     assert rays.shape == (2, 2)
     norms = np.linalg.norm(rays, axis=1)
     assert_allclose(norms, 1.0)
-
-
-def test_reflect_roundtrip():
-    from setopt.cones import reflected
-    a = staircase([1.0, 2.0], [2.0, 0.5])
-    rc = reflected(C2)
-    r = reflect(a, rc)
-    assert_allclose(np.sort(r.generators, axis=0), np.sort(-a.generators, axis=0))
-    back = reflect(r, C2)
-    assert equals(back, a)
 
 
 def test_dense_curve_support_not_thinned():
