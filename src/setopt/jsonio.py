@@ -122,8 +122,14 @@ def _table_instance(d: dict, table, default_label: str) -> FiniteInstance:
 
 
 def _points(d: dict, key: str):
-    """The optional point list ``d[key]`` as rows, or None."""
-    return np.atleast_2d(np.asarray(d[key], dtype=float)) if key in d else None
+    """The optional point list ``d[key]`` as rows, or None.  A present but
+    empty list is refused by name."""
+    if key not in d:
+        return None
+    rows = np.atleast_2d(np.asarray(d[key], dtype=float))
+    if rows.size == 0:
+        raise InputFormatError(f"'{key}' must list at least one point")
+    return rows
 
 
 def problem_from_dict(d: dict):

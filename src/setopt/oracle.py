@@ -12,11 +12,16 @@ exact in the plane only, so each of these refuses non-planar values.
 Translations that leave the grid evaluate to the empty value (the top of
 the lattice), the same convention the set-function module uses, so the
 identities are exact on finite data.
+
+The checks work on whole arrays.  The grid index of every translate
+``x + g_i`` over a translated domain comes from one batched key lookup
+(:meth:`setfuns.Grid.indices_of`), and the commutation check reads one
+table of per-value supports, one row per grid value and one column per
+direction, instead of scalarizing each value at each point again.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +32,7 @@ from .cones import (KEY_DECIMALS, Cone, cone_orthant, cone_generated, as_matrix,
                     dual_contains, unique_rows)
 from .errors import InvalidDimensionError, InvalidDirectionError
 from .setfuns import FiniteInstance
-from .uppersets import UpperSet, equals, lattice_inf, oplus, order_geq, support
+from .uppersets import UpperSet, equals, lattice_inf, oplus, order_geq
 
 #: Largest commutation gap that still counts as commuting.
 COMMUTATION_TOL = 1e-12
@@ -93,10 +98,19 @@ def minimizers_form_infimizer(inst: FiniteInstance) -> bool:
     return equals(total, part)
 
 
+def _translation_indices(inst: FiniteInstance, xs, subset_idx) -> np.ndarray:
+    """Grid index of ``x + g_i`` for every row x of xs and every i in the
+    subset, -1 off the grid: shape (len(xs), len(subset_idx)), from one
+    batched key lookup."""
+    xs = as_matrix(xs, inst.grid.shape[1])
+    pts = xs[:, None, :] + inst.grid[list(subset_idx)][None, :, :]
+    return inst.space.indices_of(pts.reshape(-1, xs.shape[1])).reshape(xs.shape[0], -1)
+
+
 def inf_translate(inst: FiniteInstance, x, subset_idx) -> UpperSet:
-    """Value of the translation-infimum at x for the given index subset."""
-    x = as_vector(x, inst.grid.shape[1])
-    return lattice_inf([inst.value_at(x + inst.grid[i]) for i in subset_idx])
+    """Value of the translation-infimum at x for the given index subset:
+    the one-row case of :func:`_translated_values`."""
+    return _translated_values(inst, as_vector(x, inst.grid.shape[1])[None, :], subset_idx)[0]
 
 
 def translated_domain(inst: FiniteInstance, subset_idx) -> np.ndarray:
@@ -107,15 +121,24 @@ def translated_domain(inst: FiniteInstance, subset_idx) -> np.ndarray:
     return unique_rows(diffs.reshape(-1, inst.grid.shape[1]))
 
 
-def _translated_value(inst: FiniteInstance, x, subset_idx, parts,
-                      fhat_override=None) -> UpperSet:
-    """The infimum at x of the subset's translates ``parts`` (None looks them
-    up), unless ``fhat_override`` supplies a value (it returns None to defer)."""
-    if fhat_override is not None:
-        v = fhat_override(np.asarray(x, dtype=float), frozenset(subset_idx))
-        if v is not None:
-            return v
-    return inf_translate(inst, x, subset_idx) if parts is None else lattice_inf(parts)
+def _translated_values(inst: FiniteInstance, xs, subset_idx, fhat_override=None,
+                      indices=None) -> list:
+    """The translation-infimum at every row of xs, unless ``fhat_override``
+    supplies a value (it returns None to defer).  ``indices`` are the rows'
+    :func:`_translation_indices` when the caller has them already."""
+    if indices is None:
+        indices = _translation_indices(inst, xs, subset_idx)
+    key = frozenset(subset_idx)
+    empty = UpperSet.empty(inst.cone)
+    out = []
+    for x, row in zip(xs, indices):
+        v = None if fhat_override is None else fhat_override(x, key)
+        if v is None:
+            # index -1 is off the grid, where the translate is the empty value
+            parts = [inst.values[j] for j in row if j >= 0]
+            v = lattice_inf(parts) if parts else empty
+        out.append(v)
+    return out
 
 
 @dataclass
@@ -172,8 +195,10 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
                                 fhat_override=None) -> LemmaReport:
     """Exhaustively check the translation identities on a finite instance.
 
-    m is a point subset of the grid; clause (a) compares its translation,
-    evaluated once per point of its domain, with the whole grid's.  Clause
+    m is a point subset of the grid; clause (a) compares its translation
+    with the whole grid's over the union of their domains, evaluating each
+    once per point (one evaluation serves both when m is the whole grid),
+    with the translates of all points found in one batched lookup.  Clause
     c4 asks that the origin value of each tested superset equals the grid
     infimum exactly when m attains it.  ``fhat_override``, when given, is
     consulted for every translated value (returning None defers to the
@@ -183,23 +208,29 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
     _require_planar(inst)
     m_idx = inst.subset_indices(m)
     grid_idx = tuple(range(inst.size))
-
-    fhat = functools.partial(_translated_value, inst, parts=None, fhat_override=fhat_override)
     clauses: list[ClauseResult] = []
-    zero = np.zeros(inst.grid.shape[1])
+    zero = np.zeros((1, inst.grid.shape[1]))
 
-    # (a) growing the translation set can only improve every value; the
-    # m-translation on dom_m, the first rows of dom_union, serves (b) and (c2)
+    def origin_value(subset):
+        # x = 0 translates each grid point onto itself: no lookup needed
+        return _translated_values(inst, zero, subset, fhat_override, indices=[subset])[0]
+
+    # (a) growing the translation set can only improve every value.  The
+    # m-translation is evaluated once per point of the union domain; its
+    # rows on dom_m, the first rows of dom_union, serve (b) and (c2), and
+    # when m is the whole grid it is the grid's translation as well
     dom_m = translated_domain(inst, m_idx)
-    at_m = [fhat(x, m_idx) for x in dom_m]
     dom_union = unique_rows(np.vstack([dom_m, translated_domain(inst, grid_idx)]))
+    at_union = _translated_values(inst, dom_union, m_idx, fhat_override)
+    at_grid = (at_union if set(m_idx) == set(grid_idx)
+               else _translated_values(inst, dom_union, grid_idx, fhat_override))
     witness = None
-    for i, x in enumerate(dom_union):
-        v_m = at_m[i] if i < len(at_m) else fhat(x, m_idx)
-        if not order_geq(v_m, fhat(x, grid_idx)):
+    for x, v_m, v_grid in zip(dom_union, at_union, at_grid):
+        if not order_geq(v_m, v_grid):
             witness = f"antitonicity fails at x={x.tolist()}"
             break
     clauses.append(ClauseResult("a_antitone", witness is None, witness))
+    at_m = at_union[:dom_m.shape[0]]
 
     # (b) translating never changes the reachable infimum
     total_inf, _ = exact_inf(inst)
@@ -224,7 +255,7 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
     fams, mode = _superset_family(inst, m_idx, seed)
 
     # origin values of the tested supersets, shared by c3 and c4
-    origins = [fhat(zero, s) for s in fams] if c1 else []
+    origins = [origin_value(s) for s in fams] if c1 else []
 
     # (c3): the value at the origin is stable under every tested superset
     # exactly when m attains the infimum
@@ -236,7 +267,7 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
                 break
         ok = witness is None
     else:
-        ok = any(not equals(at_zero, fhat(zero, s)) for s in fams)
+        ok = any(not equals(at_zero, origin_value(s)) for s in fams)
         witness = None if ok else "no tested superset separates a non-infimizer"
     clauses.append(ClauseResult("c3_supersets", ok, witness))
 
@@ -259,30 +290,50 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
     return LemmaReport(clauses, bool(c1), mode, len(fams))
 
 
+def _supports(gens: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """``min(gens @ z)`` for every direction z (row of dirs) at once.  The
+    column-vector matmul runs one matrix-vector product per direction, the
+    same arithmetic as :func:`uppersets.support`, so the values agree to
+    the last bit."""
+    return np.matmul(gens, dirs[:, :, None])[:, :, 0].min(axis=1)
+
+
 def check_commutation(inst: FiniteInstance, m, directions,
                       fhat_override=None) -> float:
     """Largest gap between scalarizing the translated value and translating
     the scalarization, over the translated domain and the given directions.
-    Both routes use the +infinity convention for empty values; two infinite
-    values count as a zero gap.  Directions outside the dual cone, where
-    both routes are -infinity and agree vacuously, are an error."""
+
+    One table holds every grid value's support along every direction (+inf
+    for the empty value and off the grid), and one batched lookup finds the
+    grid index of every translate ``x + g_i``, so the translate-then-
+    scalarize side is a minimum over table rows.  The other side scalarizes
+    the translated value at each point along all directions at once.  Both
+    use the +infinity convention for empty values; two infinite values
+    count as a zero gap.  A zero direction, or one outside the dual cone
+    (where both routes are -infinity), would make every gap vanish, so
+    either is an error."""
     _require_planar(inst)
     m_idx = inst.subset_indices(m)
     dirs = as_matrix(directions, inst.cone.dim)
     for z in dirs:
+        if not z.any():
+            raise InvalidDirectionError(
+                f"direction {z.tolist()} is zero: every proper value scalarizes to 0 along it")
         if not dual_contains(inst.cone, z):
             raise InvalidDirectionError(f"direction {z.tolist()} lies outside the dual cone")
+    # row -1 (off the grid) is the empty value's row
+    table = np.full((inst.size + 1, dirs.shape[0]), math.inf)
+    for i, v in enumerate(inst.values):
+        if not v.is_empty:
+            table[i] = _supports(v.generators, dirs)
     dom = translated_domain(inst, m_idx)
+    idx = _translation_indices(inst, dom, m_idx)
+    translate_side = table[idx].min(axis=1)
     worst = 0.0
-    for x in dom:
-        parts = [inst.value_at(x + inst.grid[i]) for i in m_idx]
-        v = _translated_value(inst, x, m_idx, parts, fhat_override)
-        for z in dirs:
-            lhs = support(v, z)
-            rhs = min(support(p, z) for p in parts)
-            if math.isinf(lhs) and math.isinf(rhs) and lhs == rhs:
-                continue
-            worst = max(worst, abs(lhs - rhs))
+    for v, rhs in zip(_translated_values(inst, dom, m_idx, fhat_override, idx), translate_side):
+        lhs = _supports(v.generators, dirs) if not v.is_empty else math.inf
+        gap = np.subtract(lhs, rhs, out=np.zeros_like(rhs), where=lhs != rhs)
+        worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, DualBase, as_matrix, as_vector, dual_contains, point_key,
-                    unique_rows)
+from .cones import (KEY_DECIMALS, Cone, DualBase, as_matrix, as_vector, dual_contains,
+                    point_key, unique_rows)
 from .errors import (
     ConeMismatchError,
     EmptyCandidateError,
@@ -75,10 +75,21 @@ class Grid:
         if len(self._index) != self.points.shape[0]:
             raise InvalidDimensionError("grid points must be pairwise distinct")
 
+    def indices_of(self, points) -> np.ndarray:
+        """Index of the point with each row's key, -1 where there is none:
+        one rounding pass (the :func:`cones.point_key` rule) and one dict
+        lookup per row.  A vector is one row; rows of another length are
+        simply not found."""
+        rows = np.round(np.asarray(points, dtype=float), KEY_DECIMALS)
+        get = self._index.get
+        return np.array([get(tuple(r), -1) for r in rows.reshape(-1, rows.shape[-1]).tolist()],
+                        dtype=np.intp)
+
     def index_of(self, x) -> int | None:
-        """Index of the point with x's key, None when there is none.  x is
-        a float vector; one of another length is simply not found."""
-        return self._index.get(point_key(x))
+        """Index of the point with x's key, None when there is none: the
+        one-row case of :meth:`indices_of`."""
+        i = int(self.indices_of(x)[0])
+        return None if i < 0 else i
 
     def contains(self, x) -> bool:
         return self.index_of(x) is not None
@@ -135,8 +146,8 @@ class SetFunction:
 class FiniteInstance(SetFunction):
     """A fully tabulated set function: grid points, one upper-set value per
     point, indexed through a :class:`Grid` (two points with one key are an
-    input error).  Off the grid, evaluation raises and ``value_at`` gives
-    the empty value."""
+    input error).  Off the grid, evaluation raises; the oracle's translations
+    read the empty value there."""
 
     def __init__(self, grid, values, cone: Cone, label: str = "instance"):
         space = Grid(grid)
@@ -163,11 +174,6 @@ class FiniteInstance(SetFunction):
         """Grid index of a point, or -1 when it is off the grid."""
         i = self.space.index_of(point)
         return -1 if i is None else i
-
-    def value_at(self, point) -> UpperSet:
-        """The tabulated value, or the empty value off the grid."""
-        i = self.index_of(point)
-        return self.values[i] if i >= 0 else UpperSet.empty(self.cone)
 
     def subset_indices(self, points) -> tuple:
         pts = as_matrix(points, self.grid.shape[1])

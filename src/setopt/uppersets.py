@@ -68,19 +68,21 @@ def _staircase_frontier(u: np.ndarray, tol: float) -> list[int]:
     return hull
 
 
-def _staircase_facets(verts: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Facet inequalities ``n @ u >= h`` of ``co(verts) + R^2_+`` with unit
-    normals; ``verts`` ordered by first coordinate ascending."""
-    facets: list[tuple[np.ndarray, float]] = [
-        (np.array([1.0, 0.0]), float(verts[0, 0]))
-    ]
+def _staircase_facets(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Facet inequalities ``N @ u >= h`` of ``co(verts) + R^2_+``: unit
+    normals as the rows of N, offsets as h; ``verts`` ordered by first
+    coordinate ascending."""
+    normals = [np.array([1.0, 0.0])]
+    offsets = [float(verts[0, 0])]
     for a, b in zip(verts[:-1], verts[1:]):
         e = b - a
         n = np.array([-e[1], e[0]])
         n /= np.linalg.norm(n)
-        facets.append((n, float(n @ a)))
-    facets.append((np.array([0.0, 1.0]), float(verts[-1, 1])))
-    return facets
+        normals.append(n)
+        offsets.append(float(n @ a))
+    normals.append(np.array([0.0, 1.0]))
+    offsets.append(float(verts[-1, 1]))
+    return np.stack(normals), np.array(offsets)
 
 
 class UpperSet:
@@ -110,7 +112,10 @@ class UpperSet:
         gens.flags.writeable = False
         self.generators = gens
         self._frontier_idx: list[int] | None = None
-        self._facets: list[tuple[np.ndarray, float]] | None = None
+        self._facets: tuple[np.ndarray, np.ndarray] | None = None
+        # max(1, largest |staircase coordinate| of any generator), set with
+        # the facets: the planar containment tolerance scales with it
+        self._u_scale = 1.0
 
     @classmethod
     def empty(cls, cone: Cone) -> "UpperSet":
@@ -147,13 +152,15 @@ class UpperSet:
                 self._frontier_idx = _certificate_frontier(self)
         return self._frontier_idx
 
-    def facets(self) -> list[tuple[np.ndarray, float]]:
-        """Planar facet inequalities in staircase coordinates."""
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Planar facet inequalities ``normals @ u >= offsets`` in staircase
+        coordinates, as the pair (normals, offsets)."""
         if self.dim != 2:
             raise UnsupportedDimensionError("facets are a planar concept here")
         if self._facets is None:
-            verts = self._u()[self._frontier()]
-            self._facets = _staircase_facets(verts)
+            u = self._u()
+            self._facets = _staircase_facets(u[self._frontier()])
+            self._u_scale = max(1.0, float(np.max(np.abs(u))))
         return self._facets
 
     def minimal_generators(self) -> np.ndarray:
@@ -250,34 +257,42 @@ def support(a: UpperSet, zstar) -> float:
     return float(np.min(a.generators @ z))
 
 
-def contains_point(a: UpperSet, q, tol: float = TOL_GEOM) -> bool:
-    """Membership test: exact facet arithmetic for d <= 2, sampled support
-    certificate for d >= 3.  Always false on the empty set."""
-    if a.is_empty:
-        return False
-    q = as_vector(q, a.dim)
+def _contains_rows(a: UpperSet, q: np.ndarray, tol: float) -> np.ndarray:
+    """Which rows of q lie in the proper value a, all in one comparison:
+    exact facet arithmetic for d <= 2, sampled support certificate for
+    d >= 3.  Each row's tolerance scales with its own magnitude."""
     if a.dim == 1:
         lo = float(np.min(a.generators[:, 0]))
-        return bool(q[0] >= lo - tol * max(1.0, abs(lo)))
+        return q[:, 0] >= lo - tol * max(1.0, abs(lo))
     if a.dim == 2:
-        u = a.cone.planar_basis @ q
-        scale_ = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(a._u()))))
-        return all(n @ u >= h - tol * scale_ for n, h in a.facets())
+        normals, offsets = a.facets()
+        u = q @ a.cone.planar_basis.T
+        scale_ = np.maximum(np.abs(u).max(axis=1), a._u_scale)
+        return (u @ normals.T >= offsets - tol * scale_[:, None]).all(axis=1)
     dirs = a.cone.certificate_directions
     mins = (a.generators @ dirs.T).min(axis=0)
-    scale_ = max(1.0, float(np.max(np.abs(q))), float(np.max(np.abs(a.generators))))
-    return bool(np.all(dirs @ q >= mins - tol * scale_))
+    scale_ = np.maximum(max(1.0, float(np.max(np.abs(a.generators)))), np.abs(q).max(axis=1))
+    return (q @ dirs.T >= mins - tol * scale_[:, None]).all(axis=1)
+
+
+def contains_point(a: UpperSet, q, tol: float = TOL_GEOM) -> bool:
+    """Membership test, the one-row case of :func:`order_geq`'s kernel.
+    Always false on the empty set."""
+    if a.is_empty:
+        return False
+    return bool(_contains_rows(a, as_vector(q, a.dim)[None, :], tol)[0])
 
 
 def order_geq(a: UpperSet, b: UpperSet, tol: float = TOL_GEOM) -> bool:
     """Lattice order ``a >= b`` for minimization: a is the larger (worse)
-    value iff a is contained in b as a set.  Empty is the top element."""
+    value iff a is contained in b as a set, tested on all of a's minimal
+    generators at once.  Empty is the top element."""
     _require_same_cone(a, b)
     if a.is_empty:
         return True
     if b.is_empty:
         return False
-    return all(contains_point(b, p, tol) for p in a.minimal_generators())
+    return bool(_contains_rows(b, a.minimal_generators(), tol).all())
 
 
 def equals(a: UpperSet, b: UpperSet, tol: float = TOL_GEOM) -> bool:

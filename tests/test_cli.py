@@ -190,6 +190,27 @@ def test_oracle_directions_outside_the_dual_cone_are_an_input_error(tmp_path, ou
     assert not (outdir / "oracle_report.json").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # along z = 0 every proper value scalarizes to 0, so the gap would be 0
+    ("directions", [[0.0, 0.0]], "error: direction [0.0, 0.0] is zero"),
+    ("directions", [], "error: 'directions' must list at least one point\n"),
+    ("m", [], "error: 'm' must list at least one point\n"),
+], ids=["zero_direction", "no_directions", "no_m"])
+def test_oracle_zero_or_empty_check_inputs_are_input_errors(tmp_path, outdir, capsys,
+                                                            field, value, message):
+    inst = write_json(tmp_path / "inst.json", {
+        "cone": {"kind": "orthant", "dim": 2},
+        "table": [
+            {"x": [0.0], "generators": [[2.0, 2.0]]},
+            {"x": [1.0], "generators": [[1.0, 1.0]]},
+        ],
+        field: value,
+    })
+    assert run(["oracle", "--problem", inst, "--out", outdir]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (outdir / "oracle_report.json").exists()
+
+
 def test_oracle_three_dimensional_instance_is_an_input_error(tmp_path, outdir, capsys):
     inst = write_json(tmp_path / "d3.json", {
         "cone": {"kind": "orthant", "dim": 3},

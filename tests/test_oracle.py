@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from setopt import oracle
 from setopt.catalog import chain_instance, hyperbola_instance, pair_instance
 from setopt.cones import cone_orthant, point_key, unique_rows
 from setopt.errors import InvalidDimensionError, InvalidDirectionError, OutOfDomainError
@@ -14,6 +13,7 @@ from setopt.oracle import (FiniteInstance, campaign_commutation, campaign_lemma,
                            exact_inf, inf_translate,
                            minimizers_form_infimizer, random_instance,
                            translated_domain)
+from setopt.setfuns import Grid
 from setopt.uppersets import UpperSet, contains_point, equals, lattice_inf
 
 
@@ -22,13 +22,13 @@ def test_instance_lookup_and_bounds():
     assert inst.size == 3
     assert inst.index_of(np.array([1.0])) == 1
     assert inst.index_of(np.array([7.0])) == -1
-    assert inst.value_at(np.array([7.0])).is_empty
+    assert inf_translate(inst, np.array([7.0]), (0,)).is_empty  # 7 + 0 is off the grid
     with pytest.raises(OutOfDomainError):
         inst.subset_indices(np.array([[7.0]]))
 
 
 def test_instance_rejects_points_with_one_key():
-    # 0 and 1e-12 share a key, so value_at(0) could read the other value
+    # 0 and 1e-12 share a key, so a lookup of 0 could read the other value
     cone = cone_orthant(2)
     values = [UpperSet.from_point(cone, [float(i), 0.0]) for i in range(3)]
     with pytest.raises(InvalidDimensionError):
@@ -157,42 +157,47 @@ def test_commutation_exact_and_corrupted():
     assert check_commutation(inst, m, dirs, fhat_override=bad) >= 0.2
 
 
-def test_lemma_evaluates_the_m_translation_once_per_point(monkeypatch):
-    # (a), (b) and (c2) share one evaluation per point of the union domain;
-    # the origin gets one more, as the value of m among its own supersets
+def test_lemma_evaluates_the_m_translation_once_per_point():
+    # the override hook sees every translated value the lemma asks for: one
+    # m-translation value per union-domain point, shared by (a), (b) and
+    # (c2) (and by the grid side of (a) when m is the whole grid), plus one
+    # at the origin as the value of m among its own supersets
     inst = pair_instance()
-    m = inst.grid[:2]
-    m_idx = inst.subset_indices(m)
-    seen = Counter()
-    honest = oracle.inf_translate
-
-    def counting(inst_, x, subset_idx):
-        if set(subset_idx) == set(m_idx):
-            seen[point_key(x)] += 1
-        return honest(inst_, x, subset_idx)
-
-    monkeypatch.setattr(oracle, "inf_translate", counting)
-    rep = check_inf_translation_lemma(inst, m, seed=0)
-    assert rep.passed and rep.infimizer
-    dom_union = unique_rows(np.vstack([translated_domain(inst, m_idx),
+    dom_union = unique_rows(np.vstack([translated_domain(inst, (0, 1)),
                                        translated_domain(inst, range(inst.size))]))
     expect = Counter(point_key(x) for x in dom_union)
     expect[point_key(np.zeros(2))] += 1
-    assert seen == expect
+    for m in (inst.grid[:2], inst.grid):
+        m_idx = frozenset(inst.subset_indices(m))
+        seen = Counter()
+
+        def counting(x, subset):
+            if subset == m_idx:
+                seen[point_key(x)] += 1
+            return None
+
+        rep = check_inf_translation_lemma(inst, m, seed=0, fhat_override=counting)
+        assert rep.passed and rep.infimizer
+        assert seen == expect
 
 
 def test_commutation_looks_each_translate_up_once(monkeypatch):
-    # |m| lookups index the subset, then one per (domain point, subset point)
+    # |m| per-point lookups index the subset; every (domain point, subset
+    # point) translate is then looked up once, all in one batch
     inst = pair_instance()
     m = inst.grid[:2]
     dom = translated_domain(inst, inst.subset_indices(m))
-    lookups = []
-    index_of = FiniteInstance.index_of
+    lookups, batches = [], []
+    index_of, indices_of = FiniteInstance.index_of, Grid.indices_of
     monkeypatch.setattr(FiniteInstance, "index_of",
                         lambda self, p: lookups.append(p) or index_of(self, p))
+    monkeypatch.setattr(Grid, "indices_of",
+                        lambda self, p: batches.append(np.atleast_2d(p).shape[0])
+                        or indices_of(self, p))
     dirs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     assert check_commutation(inst, m, dirs) <= 1e-12
-    assert len(lookups) == len(m) + len(dom) * len(m)
+    assert len(lookups) == len(m)
+    assert batches == [1] * len(m) + [len(dom) * len(m)]
     bad = corrupting_override(inst, m)
     assert check_commutation(inst, m, dirs, fhat_override=bad) >= 0.2
 
@@ -204,6 +209,15 @@ def test_commutation_refuses_directions_outside_the_dual_cone():
         check_commutation(inst, inst.grid, np.array([[1.0, -1.0], [-1.0, 0.5]]))
     with pytest.raises(InvalidDirectionError):
         check_commutation(inst, inst.grid, np.array([[0.5, 0.5], [-1.0, 0.5]]))
+
+
+@pytest.mark.parametrize("zero", [[0.0, 0.0], [-0.0, 0.0]])
+def test_commutation_refuses_the_zero_direction(zero):
+    # dual_contains accepts z = 0, but every proper value scalarizes to 0
+    # along it, so both routes would agree vacuously
+    inst = pair_instance()
+    with pytest.raises(InvalidDirectionError, match="is zero"):
+        check_commutation(inst, inst.grid, np.array([[0.5, 0.5], zero]))
 
 
 def test_report_serialization_round_trip():
