@@ -21,11 +21,12 @@ from .errors import (ConeMismatchError, DerivativeMismatchError,
                      NonPointedConeError, OutOfDomainError, SetOptError,
                      UnsupportedDimensionError)
 from .uppersets import (UpperSet, boundary_polyline, contains_point, equals,
-                        lattice_inf, oplus, order_geq, prune, scale, support)
+                        lattice_inf, lattice_minimal, oplus, order_geq, prune, scale,
+                        support)
 from .setfuns import (Box, CandidateSet, FiniteInstance, Grid, ScalarizationProfile,
                       SetFunction, convex_sample_points, evaluate,
                       evaluate_or_empty, inf_translation, scalarize,
-                      scalarized_inf_translation)
+                      scalarized_inf_translation, translated_domain, translated_values)
 from .solver import (InfimizerGaps, ScalarMinResult, SolutionReport,
                      collect_candidate, default_tol, probe_points,
                      scalar_minimize, sweep, verify_infimizer,
@@ -33,9 +34,8 @@ from .solver import (InfimizerGaps, ScalarMinResult, SolutionReport,
 from .oracle import (CampaignReport, LemmaReport,
                      campaign_commutation, campaign_lemma, check_commutation,
                      check_inf_translation_lemma, corrupting_override,
-                     enumerate_lattice_minimizers, exact_inf, inf_translate,
-                     minimizers_form_infimizer, random_cone_2d,
-                     random_instance, translated_domain)
+                     enumerate_lattice_minimizers, exact_inf,
+                     minimizers_form_infimizer, random_cone_2d, random_instance)
 from .calcvar import (Arc, Boundary, CvpReport, CvpSolveResult,
                       Lagrangian, TestDirection, check_derivatives, cvp_sweep,
                       first_order_residual, linear_arc, objective,

@@ -340,7 +340,11 @@ def cvp_sweep(lag: Lagrangian, directions, boundary: Boundary, N: int, *,
     seeded test directions per arc, and check that no perturbation of the
     collected arcs along 10 seeded probes beats the collected optimal
     values by more than ``phi_tol``, which must be nonnegative (the
-    scalarized translation test at the zero perturbation)."""
+    scalarized translation test at the zero perturbation).  The mesh needs
+    at least 2 intervals: with one there is no interior node to test."""
+    if N < 2:
+        raise InputFormatError(
+            f"the mesh needs at least 2 intervals (an interior node), got {N}")
     if not phi_tol >= 0:
         raise InputFormatError(f"the translation tolerance must be nonnegative, got {phi_tol!r}")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))

@@ -287,7 +287,7 @@ def run_cvp(args) -> int:
         cvp = jsonio.cvp_from_dict(jsonio.load_json(args.problem))
     else:
         cvp = catalog.make_cvp(args.catalog or "quadratic_cvp")
-    if args.mesh:
+    if args.mesh is not None:
         cvp = dataclasses.replace(cvp, mesh=args.mesh)
     if args.base_res:
         cvp = dataclasses.replace(cvp, directions=catalog.cvp_directions(count=args.base_res))

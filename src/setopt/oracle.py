@@ -4,20 +4,19 @@ A finite instance (:class:`setfuns.FiniteInstance`, the table type the
 solver sweeps too) pins a set-valued function down to a desk-scale table:
 a finite grid of argument points, one upper-set value per point.
 Everything here is exhaustive arithmetic over that table: exact lattice
-infima in both the union form and the convex-hull form, enumeration of
-lattice minimizers by pairwise comparison, and clause-by-clause checks
-of the translation identities that the fast modules rely on.  Hulls are
-exact in the plane only, so each of these refuses non-planar values.
+infima, enumeration of lattice minimizers by pairwise comparison
+(:func:`uppersets.lattice_minimal`), and clause-by-clause checks of the
+translation identities that the fast modules rely on.  Hulls are exact in
+the plane only, so each of these refuses non-planar values.
 
-Translations that leave the grid evaluate to the empty value (the top of
-the lattice), the same convention the set-function module uses, so the
-identities are exact on finite data.
-
-The checks work on whole arrays.  The grid index of every translate
-``x + g_i`` over a translated domain comes from one batched key lookup
-(:meth:`setfuns.Grid.indices_of`), and the commutation check reads one
-table of per-value supports, one row per grid value and one column per
-direction, instead of scalarizing each value at each point again.
+The translation identities are checked on the library's own
+inf-translation, :func:`setfuns.translated_values`: translates that
+leave the grid evaluate to the empty value (the top of the lattice), so
+the identities are exact on finite data.  The commutation check
+scalarizes those values and compares them with a brute-force route of
+its own: one table of per-value supports, one row per grid value and one
+column per direction, read at the grid index of every translate
+``x + g_i`` from one batched key lookup (:meth:`setfuns.Grid.indices_of`).
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (KEY_DECIMALS, Cone, cone_orthant, cone_generated, as_matrix, as_vector,
+from .cones import (KEY_DECIMALS, Cone, cone_orthant, cone_generated, as_matrix,
                     dual_contains, unique_rows)
 from .errors import InvalidDimensionError, InvalidDirectionError
-from .setfuns import FiniteInstance
-from .uppersets import UpperSet, equals, lattice_inf, oplus, order_geq
+from .setfuns import FiniteInstance, translated_domain, translated_values
+from .uppersets import UpperSet, equals, lattice_inf, lattice_minimal, oplus, order_geq
 
 #: Largest commutation gap that still counts as commuting.
 COMMUTATION_TOL = 1e-12
@@ -46,46 +45,19 @@ def _require_planar(inst: FiniteInstance) -> None:
         raise InvalidDimensionError("finite instances require planar values for exact hulls")
 
 
-def exact_inf(inst: FiniteInstance, subset=None):
-    """Exact lattice infimum over a subset (default: whole grid).
-
-    Returns the convex-hull infimum as an upper set together with the raw
-    generator union (the vertex data of the union infimum); the two
-    differ exactly when taking the hull adds points, which is the gap
-    a convex solver glosses over.
-    """
+def exact_inf(inst: FiniteInstance, subset=None) -> UpperSet:
+    """Exact lattice infimum (the convex hull of the union) over a subset
+    of the grid, by default the whole grid."""
     _require_planar(inst)
-    if subset is None:
-        idx = tuple(range(inst.size))
-    else:
-        idx = inst.subset_indices(subset)
-    if not idx:
-        raise InvalidDimensionError("subset must be nonempty")
-    vals = [inst.values[i] for i in idx]
-    g_inf = lattice_inf(vals)
-    gens = [v.minimal_generators() for v in vals if not v.is_empty]
-    f_gens = unique_rows(np.vstack(gens)) if gens else np.zeros((0, inst.cone.dim))
-    return g_inf, f_gens
+    idx = range(inst.size) if subset is None else inst.subset_indices(subset)
+    return lattice_inf([inst.values[i] for i in idx])
 
 
 def enumerate_lattice_minimizers(inst: FiniteInstance) -> np.ndarray:
     """All grid points with no strictly smaller value anywhere on the grid,
     by exhaustive pairwise comparison."""
     _require_planar(inst)
-    keep = []
-    for i in range(inst.size):
-        vi = inst.values[i]
-        minimal = True
-        for j in range(inst.size):
-            if i == j:
-                continue
-            vj = inst.values[j]
-            if order_geq(vi, vj) and not equals(vi, vj):
-                minimal = False
-                break
-        if minimal:
-            keep.append(i)
-    return inst.grid[keep]
+    return inst.grid[lattice_minimal(inst.values, inst.values)]
 
 
 def minimizers_form_infimizer(inst: FiniteInstance) -> bool:
@@ -93,52 +65,19 @@ def minimizers_form_infimizer(inst: FiniteInstance) -> bool:
     mins = enumerate_lattice_minimizers(inst)
     if mins.shape[0] == 0:
         return False
-    total, _ = exact_inf(inst)
-    part, _ = exact_inf(inst, mins)
-    return equals(total, part)
+    return equals(exact_inf(inst), exact_inf(inst, mins))
 
 
-def _translation_indices(inst: FiniteInstance, xs, subset_idx) -> np.ndarray:
-    """Grid index of ``x + g_i`` for every row x of xs and every i in the
-    subset, -1 off the grid: shape (len(xs), len(subset_idx)), from one
-    batched key lookup."""
-    xs = as_matrix(xs, inst.grid.shape[1])
-    pts = xs[:, None, :] + inst.grid[list(subset_idx)][None, :, :]
-    return inst.space.indices_of(pts.reshape(-1, xs.shape[1])).reshape(xs.shape[0], -1)
-
-
-def inf_translate(inst: FiniteInstance, x, subset_idx) -> UpperSet:
-    """Value of the translation-infimum at x for the given index subset:
-    the one-row case of :func:`_translated_values`."""
-    return _translated_values(inst, as_vector(x, inst.grid.shape[1])[None, :], subset_idx)[0]
-
-
-def translated_domain(inst: FiniteInstance, subset_idx) -> np.ndarray:
-    """All points of the form (grid point) - (subset point), deduplicated.
-    Restricting the translated function to this set preserves the exact
-    infimum: every grid point stays reachable."""
-    diffs = inst.grid[None, :, :] - inst.grid[list(subset_idx), None, :]
-    return unique_rows(diffs.reshape(-1, inst.grid.shape[1]))
-
-
-def _translated_values(inst: FiniteInstance, xs, subset_idx, fhat_override=None,
-                      indices=None) -> list:
-    """The translation-infimum at every row of xs, unless ``fhat_override``
-    supplies a value (it returns None to defer).  ``indices`` are the rows'
-    :func:`_translation_indices` when the caller has them already."""
-    if indices is None:
-        indices = _translation_indices(inst, xs, subset_idx)
+def _translated_values(inst: FiniteInstance, xs, subset_idx, fhat_override=None) -> list:
+    """The inf-translation by the subset's points at every row of xs
+    (:func:`setfuns.translated_values`), unless ``fhat_override`` supplies
+    a row's value (it returns None to defer)."""
+    values = translated_values(inst, xs, inst.grid[list(subset_idx)])
+    if fhat_override is None:
+        return values
     key = frozenset(subset_idx)
-    empty = UpperSet.empty(inst.cone)
-    out = []
-    for x, row in zip(xs, indices):
-        v = None if fhat_override is None else fhat_override(x, key)
-        if v is None:
-            # index -1 is off the grid, where the translate is the empty value
-            parts = [inst.values[j] for j in row if j >= 0]
-            v = lattice_inf(parts) if parts else empty
-        out.append(v)
-    return out
+    patched = [fhat_override(x, key) for x in xs]
+    return [v if p is None else p for v, p in zip(values, patched)]
 
 
 @dataclass
@@ -197,8 +136,8 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
 
     m is a point subset of the grid; clause (a) compares its translation
     with the whole grid's over the union of their domains, evaluating each
-    once per point (one evaluation serves both when m is the whole grid),
-    with the translates of all points found in one batched lookup.  Clause
+    once per point (one evaluation serves both when m is the whole grid)
+    through :func:`setfuns.translated_values`.  Clause
     c4 asks that the origin value of each tested superset equals the grid
     infimum exactly when m attains it.  ``fhat_override``, when given, is
     consulted for every translated value (returning None defers to the
@@ -209,18 +148,20 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
     m_idx = inst.subset_indices(m)
     grid_idx = tuple(range(inst.size))
     clauses: list[ClauseResult] = []
-    zero = np.zeros((1, inst.grid.shape[1]))
+    zero = np.zeros(inst.grid.shape[1])
 
     def origin_value(subset):
         # x = 0 translates each grid point onto itself: no lookup needed
-        return _translated_values(inst, zero, subset, fhat_override, indices=[subset])[0]
+        v = None if fhat_override is None else fhat_override(zero, frozenset(subset))
+        return lattice_inf([inst.values[i] for i in subset]) if v is None else v
 
     # (a) growing the translation set can only improve every value.  The
     # m-translation is evaluated once per point of the union domain; its
     # rows on dom_m, the first rows of dom_union, serve (b) and (c2), and
     # when m is the whole grid it is the grid's translation as well
-    dom_m = translated_domain(inst, m_idx)
-    dom_union = unique_rows(np.vstack([dom_m, translated_domain(inst, grid_idx)]))
+    m_pts = inst.grid[list(m_idx)]
+    dom_m = translated_domain(inst.grid, m_pts)
+    dom_union = unique_rows(np.vstack([dom_m, translated_domain(inst.grid, inst.grid)]))
     at_union = _translated_values(inst, dom_union, m_idx, fhat_override)
     at_grid = (at_union if set(m_idx) == set(grid_idx)
                else _translated_values(inst, dom_union, grid_idx, fhat_override))
@@ -233,7 +174,7 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
     at_m = at_union[:dom_m.shape[0]]
 
     # (b) translating never changes the reachable infimum
-    total_inf, _ = exact_inf(inst)
+    total_inf = exact_inf(inst)
     hat_inf = lattice_inf(at_m)
     ok = equals(hat_inf, total_inf)
     clauses.append(ClauseResult(
@@ -242,7 +183,7 @@ def check_inf_translation_lemma(inst: FiniteInstance, m, *, seed: int = 0,
 
     # (c1) <=> (c2): m attains the infimum iff the translated function
     # attains it at the origin
-    m_inf, _ = exact_inf(inst, inst.grid[list(m_idx)])
+    m_inf = exact_inf(inst, m_pts)
     c1 = equals(m_inf, total_inf)
     # the origin is the row of dom_m whose key is zero (x = g_i - g_i)
     at_zero = at_m[np.flatnonzero(~np.round(dom_m, KEY_DECIMALS).any(axis=1))[0]]
@@ -326,11 +267,12 @@ def check_commutation(inst: FiniteInstance, m, directions,
     for i, v in enumerate(inst.values):
         if not v.is_empty:
             table[i] = _supports(v.generators, dirs)
-    dom = translated_domain(inst, m_idx)
-    idx = _translation_indices(inst, dom, m_idx)
-    translate_side = table[idx].min(axis=1)
+    m_pts = inst.grid[list(m_idx)]
+    dom = translated_domain(inst.grid, m_pts)
+    idx = inst.space.indices_of((dom[:, None, :] + m_pts[None, :, :]).reshape(-1, dom.shape[1]))
+    translate_side = table[idx.reshape(dom.shape[0], -1)].min(axis=1)
     worst = 0.0
-    for v, rhs in zip(_translated_values(inst, dom, m_idx, fhat_override, idx), translate_side):
+    for v, rhs in zip(_translated_values(inst, dom, m_idx, fhat_override), translate_side):
         lhs = _supports(v.generators, dirs) if not v.is_empty else math.inf
         gap = np.subtract(lhs, rhs, out=np.zeros_like(rhs), where=lhs != rhs)
         worst = max(worst, float(np.max(np.abs(gap))))
@@ -348,7 +290,7 @@ def corrupting_override(inst: FiniteInstance, m):
 
     def override(x, subset):
         if subset == target and float(np.max(np.abs(x))) < 1e-12:
-            honest = inf_translate(inst, x, tuple(sorted(subset)))
+            honest = translated_values(inst, x, inst.grid[sorted(subset)])[0]
             return oplus(honest, bump)
         return None
 

@@ -10,7 +10,11 @@ The inf-translation of a function by a candidate set M is the pointwise
 lattice infimum of its M-translates.  Translated points that leave the
 variable space contribute the empty value, and the translated function
 lives on the correspondingly extended space, which keeps the global
-infimum exactly invariant.
+infimum exactly invariant.  :func:`translated_values` is the one
+implementation: it evaluates every translate ``x + y`` through one
+:meth:`SetFunction.values_at` call (one batched key lookup on a table)
+and takes one lattice infimum per point.  :func:`inf_translation` is its
+one-point case, and the oracle checks the translation identities on it.
 """
 
 from __future__ import annotations
@@ -120,6 +124,11 @@ class SetFunction:
         self.vector_map = vector_map
         self.label = label
 
+    def values_at(self, points) -> list:
+        """The value at each row of points, the empty value off the space:
+        one :func:`evaluate_or_empty` per row."""
+        return [evaluate_or_empty(self, x) for x in as_matrix(points, self.space.dim)]
+
     @classmethod
     def from_vector_map(cls, space: VarSpace, cone: Cone, fn, label: str = "setfn"):
         """Cone extension of a vector map: value {fn(x)} (+) C, Empty where
@@ -146,8 +155,8 @@ class SetFunction:
 class FiniteInstance(SetFunction):
     """A fully tabulated set function: grid points, one upper-set value per
     point, indexed through a :class:`Grid` (two points with one key are an
-    input error).  Off the grid, evaluation raises; the oracle's translations
-    read the empty value there."""
+    input error).  Off the grid, evaluation raises; :meth:`values_at`, and
+    so every translation, reads the empty value there."""
 
     def __init__(self, grid, values, cone: Cone, label: str = "instance"):
         space = Grid(grid)
@@ -169,6 +178,13 @@ class FiniteInstance(SetFunction):
     @property
     def size(self) -> int:
         return self.grid.shape[0]
+
+    def values_at(self, points) -> list:
+        """The table value at each row of points, the empty value off the
+        grid, from one :meth:`Grid.indices_of` batch."""
+        empty = UpperSet.empty(self.cone)
+        return [self.values[i] if i >= 0 else empty
+                for i in self.space.indices_of(as_matrix(points, self.space.dim))]
 
     def index_of(self, point) -> int:
         """Grid index of a point, or -1 when it is off the grid."""
@@ -273,23 +289,43 @@ def _translation_points(f: SetFunction, m: CandidateSet) -> np.ndarray:
     return m.points
 
 
+def translated_domain(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Every ``p - y`` for p in points and y in ys, deduplicated by key.
+    Translating by ys from these points reaches every one of the points,
+    so the translated function keeps their infimum exactly."""
+    diffs = points[None, :, :] - ys[:, None, :]
+    return unique_rows(diffs.reshape(-1, points.shape[1]))
+
+
 def _translated_space(space: VarSpace, ys: np.ndarray) -> VarSpace:
     """The natural domain of a translated function: every original point
     stays reachable, so global infima are preserved exactly."""
     if isinstance(space, Box):
         return Box(space.lower - ys.max(axis=0), space.upper - ys.min(axis=0))
-    shifted = space.points[None, :, :] - ys[:, None, :]
-    return Grid(unique_rows(shifted.reshape(-1, space.dim)))
+    return Grid(translated_domain(space.points, ys))
+
+
+def translated_values(f: SetFunction, xs, ys) -> list:
+    """The inf-translation ``inf {f(x + y) : y in ys}`` at every row x of
+    xs: every translate goes through one :meth:`SetFunction.values_at`
+    call (off the space it is the empty value), then one lattice infimum
+    per row."""
+    xs = as_matrix(xs, f.space.dim)
+    ys = as_matrix(ys, f.space.dim)
+    values = f.values_at((xs[:, None, :] + ys[None, :, :]).reshape(-1, f.space.dim))
+    k = ys.shape[0]
+    return [lattice_inf(values[i:i + k]) for i in range(0, len(values), k)]
 
 
 def inf_translation(f: SetFunction, m: CandidateSet) -> SetFunction:
     """The pointwise lattice infimum of the M-translates
-    ``x -> inf {f(x + y) : y in M}``."""
+    ``x -> inf {f(x + y) : y in M}``: the one-row case of
+    :func:`translated_values`."""
     ys = _translation_points(f, m)
     space = _translated_space(f.space, ys)
 
     def evaluator(x: np.ndarray) -> UpperSet:
-        return lattice_inf([evaluate_or_empty(f, x + y) for y in ys])
+        return translated_values(f, x, ys)[0]
 
     return SetFunction(space, f.cone, evaluator,
                        label=f"inf-translation of {f.label} by {m.label}")
@@ -333,7 +369,7 @@ class ScalarizationProfile:
         if base.cone != f.cone:
             raise ConeMismatchError("the direction base and the function use different cones")
         pts = as_matrix(points, f.space.dim)
-        sets = [evaluate_or_empty(f, x) for x in pts]
+        sets = f.values_at(pts)
         values = np.full((len(base), pts.shape[0]), math.inf)
         for j, v in enumerate(sets):
             if not v.is_empty:

@@ -33,7 +33,7 @@ from .setfuns import (
     _in_space,
     _scalarize_or_inf,
 )
-from .uppersets import UpperSet, equals, lattice_inf, order_geq
+from .uppersets import UpperSet, lattice_inf, lattice_minimal
 
 #: Default value tolerances by space kind.
 TOL_VAL_GRID = 1e-6
@@ -287,11 +287,10 @@ def verify_infimizer(f: SetFunction, m: CandidateSet, base: DualBase, probe, *,
                          candidate=prof_m, probe=prof_p)
 
 
-def verify_lattice_minimizer(value: UpperSet, probe_values) -> bool:
-    """True iff no probe value is strictly smaller in the lattice than
-    ``value`` (a strictly larger upper set)."""
-    return not any(order_geq(value, v) and not equals(value, v)
-                   for v in probe_values)
+def verify_lattice_minimizer(values, probe_values) -> list[bool]:
+    """For each value, whether no probe value is strictly smaller in the
+    lattice (a strictly larger upper set): :func:`uppersets.lattice_minimal`."""
+    return lattice_minimal(values, probe_values)
 
 
 @dataclass
@@ -348,7 +347,7 @@ def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
     best = np.argmin(per_dir, axis=0)
     residuals = per_dir[best, np.arange(len(m))]
     res_dir = base.directions[best]
-    lattice_ok = [verify_lattice_minimizer(v, gaps.probe.sets) for v in gaps.candidate.sets]
+    lattice_ok = verify_lattice_minimizer(gaps.candidate.sets, gaps.probe.sets)
     gaps_pass = gaps.max_gap <= tol and gaps.co_gap <= tol
     cond3_pass = bool(np.all(residuals <= tol))
     if gaps_pass and cond3_pass:

@@ -96,20 +96,16 @@ class UpperSet:
 
     def __init__(self, cone: Cone, generators=None):
         self.cone = cone
-        if generators is None:
+        gens = np.asarray([] if generators is None else generators, dtype=float)
+        if gens.size == 0:
             gens = np.empty((0, cone.dim))
+            gens.flags.writeable = False
         else:
-            gens = np.asarray(generators, dtype=float)
-            if gens.size == 0:
-                gens = np.empty((0, cone.dim))
-            else:
-                gens = as_matrix(gens, cone.dim)
+            gens = as_matrix(gens, cone.dim)  # a read-only copy
         if gens.shape[0] > GENERATOR_LIMIT:
             raise GeneratorLimitError(
                 f"{gens.shape[0]} generators exceed the budget {GENERATOR_LIMIT}"
             )
-        gens = gens.copy()
-        gens.flags.writeable = False
         self.generators = gens
         self._frontier_idx: list[int] | None = None
         self._facets: tuple[np.ndarray, np.ndarray] | None = None
@@ -298,6 +294,16 @@ def order_geq(a: UpperSet, b: UpperSet, tol: float = TOL_GEOM) -> bool:
 def equals(a: UpperSet, b: UpperSet, tol: float = TOL_GEOM) -> bool:
     """Set equality via mutual containment."""
     return order_geq(a, b, tol) and order_geq(b, a, tol)
+
+
+def lattice_minimal(values, rivals) -> list[bool]:
+    """For each value a, whether no rival v is strictly smaller in the
+    lattice: ``order_geq(a, v) and not order_geq(v, a)`` holds for none.
+    No value is strictly smaller than itself, so ``values`` may be among
+    the rivals."""
+    rivals = list(rivals)
+    return [not any(order_geq(a, v) and not order_geq(v, a) for v in rivals)
+            for a in values]
 
 
 def prune(a: UpperSet) -> UpperSet:

@@ -4,7 +4,10 @@ per-direction loop it replaced, kept here as the reference.
 The commutation gap must agree to the last bit (both sides run the same
 products), containment must agree exactly on probes placed on facets and
 inside and outside the tolerance band, and batched grid lookups must agree
-row by row with the one-point lookup.
+row by row with the one-point lookup.  The inf-translation must give the
+same generator arrays, bit for bit, as one evaluation per translate, and
+the lattice-minimality rule the same verdicts as the pairwise loop it
+replaced.
 """
 
 import math
@@ -14,9 +17,11 @@ import numpy as np
 from setopt.catalog import chain_instance, pair_instance
 from setopt.cones import TOL_GEOM, cone_orthant, point_key
 from setopt.oracle import (check_commutation, corrupting_override, random_cone_2d,
-                           random_instance, translated_domain)
-from setopt.setfuns import Grid
-from setopt.uppersets import UpperSet, contains_point, lattice_inf, order_geq, support
+                           random_instance)
+from setopt.setfuns import (Box, Grid, SetFunction, evaluate_or_empty, translated_domain,
+                            translated_values)
+from setopt.uppersets import (UpperSet, contains_point, equals, lattice_inf, lattice_minimal,
+                              order_geq, support)
 
 DRAWS = 60
 
@@ -25,7 +30,7 @@ def reference_gap(inst, m, dirs, fhat_override=None):
     """The commutation gap one point and one direction at a time."""
     m_idx = inst.subset_indices(m)
     worst = 0.0
-    for x in translated_domain(inst, m_idx):
+    for x in translated_domain(inst.grid, inst.grid[list(m_idx)]):
         parts = []
         for i in m_idx:
             j = inst.index_of(x + inst.grid[i])
@@ -158,3 +163,93 @@ def test_batched_grid_lookup_matches_the_one_point_lookup():
             assert (-1 if one is None else one) == i == keys.get(point_key(q), -1)
         assert list(batch[:len(pts)]) == list(range(len(pts)))
         assert batch[-1] == batch[-2] == 0
+
+
+def reference_translated_values(f, xs, ys):
+    """The inf-translation one translate at a time."""
+    return [lattice_inf([evaluate_or_empty(f, x + y) for y in ys]) for x in xs]
+
+
+def assert_same_values(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert a.generators.shape == b.generators.shape
+        assert np.array_equal(a.generators, b.generators)
+
+
+def test_translated_values_match_the_per_translate_reference_bitwise():
+    rng = np.random.default_rng(1205)
+    saw_empty = saw_rotated = 0
+    for _ in range(DRAWS):
+        inst, m, _ = random_instance(rng)
+        xs = np.vstack([translated_domain(inst.grid, m), rng.uniform(-6.0, 6.0, size=(4, 2))])
+        got = translated_values(inst, xs, m)
+        assert_same_values(got, reference_translated_values(inst, xs, m))
+        saw_empty += any(v.is_empty for v in got)
+        saw_rotated += not np.array_equal(inst.cone.dual, np.eye(2))
+    # the draws cover empty values and non-orthant cones
+    assert saw_empty and saw_rotated
+    cone = cone_orthant(2)
+
+    def curve(x):
+        return None if x[0] < 0.0 else np.array([x[0], 1.0 / (1.0 + x[0] ** 2) + x[-1]])
+
+    ys = np.array([[0.0, 0.0], [0.5, -0.25], [-1.0, 0.75]])
+    grid_fn = SetFunction.from_vector_map(Grid(rng.uniform(-1.0, 3.0, size=(25, 2))), cone, curve)
+    box_fn = SetFunction.from_vector_map(Box([-1.0, -1.0], [2.0, 1.0]), cone, curve)
+    for f, xs in ((grid_fn, translated_domain(grid_fn.space.points, ys)),
+                  (box_fn, rng.uniform(-2.5, 3.0, size=(40, 2)))):
+        got = translated_values(f, xs, ys)
+        assert_same_values(got, reference_translated_values(f, xs, ys))
+        assert any(v.is_empty for v in got) and not all(v.is_empty for v in got)
+
+
+def test_table_values_at_matches_evaluate_or_empty_row_by_row():
+    rng = np.random.default_rng(1206)
+    for _ in range(DRAWS):
+        inst, _, _ = random_instance(rng)
+        points = np.vstack([inst.grid, inst.grid + 1e-11, inst.grid + 1e-6,
+                            rng.uniform(-3.0, 3.0, size=(5, 2))])
+        got = inst.values_at(points)
+        assert len(got) == points.shape[0]
+        for x, v in zip(points, got):
+            assert v is evaluate_or_empty(inst, x) or (
+                v.is_empty and evaluate_or_empty(inst, x).is_empty)
+        assert all(v is w for v, w in zip(got, inst.values))
+        assert all(v.is_empty for v in got[-5:])
+
+
+def reference_minimal(values, rivals):
+    """The pairwise loop: a value is minimal unless some rival lies below
+    it and differs from it."""
+    return [not any(order_geq(a, v) and not equals(a, v) for v in rivals) for a in values]
+
+
+def test_lattice_minimal_matches_the_pairwise_reference():
+    rng = np.random.default_rng(1207)
+    saw_repeat = saw_empty = saw_dominated = 0
+    for _ in range(200):
+        cone = random_cone_2d(rng)
+        family = []
+        for _ in range(int(rng.integers(2, 9))):
+            r = rng.random()
+            if r < 0.15:
+                family.append(UpperSet.empty(cone))
+            elif r < 0.3 and family:
+                family.append(UpperSet(cone, family[-1].generators))   # a repeat
+            elif r < 0.45 and family:
+                # just above the last value along the cone: equal within the
+                # tolerance at 1e-13, strictly larger at 1e-6
+                shift = rng.choice([1e-13, 1e-6]) * cone.primal[0]
+                family.append(UpperSet(cone, family[-1].generators + shift))
+            else:
+                family.append(random_value(rng, cone))
+        rivals = family + [random_value(rng, cone) for _ in range(int(rng.integers(0, 3)))]
+        got = lattice_minimal(family, rivals)
+        assert got == reference_minimal(family, rivals)
+        assert lattice_minimal(family, family) == reference_minimal(family, family)
+        saw_repeat += any(equals(a, b) and not a.is_empty
+                          for i, a in enumerate(family) for b in family[i + 1:])
+        saw_empty += any(v.is_empty for v in family)
+        saw_dominated += not all(got)
+    assert saw_repeat and saw_empty and saw_dominated

@@ -224,6 +224,16 @@ def test_sweep_translation_check_evaluates_each_shifted_arc_once(monkeypatch):
     assert rep.translation_margin == expect
 
 
+@pytest.mark.parametrize("N", [1, 0, -3])
+def test_sweep_refuses_a_mesh_without_an_interior_node(N):
+    # one interval has no interior node, so no test direction can be built
+    # there and the residual and translation checks would be vacuous
+    cvp = make_cvp("quadratic_cvp")
+    with pytest.raises(InputFormatError, match=f"mesh needs at least 2 intervals.*got {N}"):
+        cvp_sweep(cvp.lagrangian, cvp.directions[:1], cvp.boundary, N)
+    assert linear_arc(cvp.boundary, 1).intervals == 1  # the arc itself stays valid
+
+
 def test_sweep_flags_divergent_direction():
     lag = make_lagrangian("drift")
     b = Boundary(0.0, 1.0, [0.0], [1.0])

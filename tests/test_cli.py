@@ -265,6 +265,20 @@ def test_cvp_divergent_direction_flagged(tmp_path, outdir):
     assert "non-attainment" in notes
 
 
+@pytest.mark.parametrize("mesh", [1, 0, -4])
+def test_cvp_mesh_without_an_interior_node_is_an_input_error(tmp_path, outdir, capsys, mesh):
+    # --mesh 0 is refused too, not read as "the problem's default mesh"
+    prob = write_json(tmp_path / "one.json", {
+        "a": 0.0, "b": 1.0, "A": [0.0], "B": [1.0], "N": mesh,
+        "lagrangian": "drift", "alphas": [0.5],
+    })
+    for argv in (["cvp", "--mesh", mesh], ["cvp", "--problem", prob]):
+        assert run(argv + ["--base-res", 1, "--out", outdir]) == 1
+        err = capsys.readouterr().err
+        assert f"mesh needs at least 2 intervals (an interior node), got {mesh}" in err
+        assert not (outdir / "cvp_report.json").exists()
+
+
 @pytest.mark.parametrize("grad_tol", [-1, 0])
 def test_cvp_nonpositive_grad_tol_is_an_input_error(outdir, capsys, grad_tol):
     assert run(["cvp", "--grad-tol", grad_tol, "--base-res", 1, "--mesh", 8,

@@ -10,10 +10,8 @@ from setopt.errors import InvalidDimensionError, InvalidDirectionError, OutOfDom
 from setopt.oracle import (FiniteInstance, campaign_commutation, campaign_lemma,
                            check_commutation, check_inf_translation_lemma,
                            corrupting_override, enumerate_lattice_minimizers,
-                           exact_inf, inf_translate,
-                           minimizers_form_infimizer, random_instance,
-                           translated_domain)
-from setopt.setfuns import Grid
+                           exact_inf, minimizers_form_infimizer, random_instance)
+from setopt.setfuns import Grid, translated_domain, translated_values
 from setopt.uppersets import UpperSet, contains_point, equals, lattice_inf
 
 
@@ -22,7 +20,8 @@ def test_instance_lookup_and_bounds():
     assert inst.size == 3
     assert inst.index_of(np.array([1.0])) == 1
     assert inst.index_of(np.array([7.0])) == -1
-    assert inf_translate(inst, np.array([7.0]), (0,)).is_empty  # 7 + 0 is off the grid
+    # 7 + 0 is off the grid, so the translate there is the empty value
+    assert translated_values(inst, np.array([7.0]), inst.grid[:1])[0].is_empty
     with pytest.raises(OutOfDomainError):
         inst.subset_indices(np.array([[7.0]]))
 
@@ -64,18 +63,19 @@ def test_pair_minimizers_and_infimum():
     inst = pair_instance()
     mins = enumerate_lattice_minimizers(inst)
     assert mins.shape[0] == 2  # the two incomparable vertices
-    ginf, fgens = exact_inf(inst)
-    # convexified infimum contains the midpoint, the raw union does not
+    ginf = exact_inf(inst)
+    # the infimum is the convex hull of the union: it contains the midpoint
+    # of the two vertices, which no single value does
     mid = np.array([0.5, 0.5])
     assert contains_point(ginf, mid)
-    assert not any(np.allclose(g, mid) for g in fgens)
+    assert not any(contains_point(v, mid) for v in inst.values)
 
 
 def test_exact_inf_subset_matches_manual():
     inst = chain_instance()
-    ginf, fgens = exact_inf(inst, np.array([[0.0], [1.0]]))
+    ginf = exact_inf(inst, np.array([[0.0], [1.0]]))
     assert equals(ginf, inst.values[1])  # (1,1) + C absorbs (2,2) + C
-    assert fgens.shape[0] == 2
+    assert ginf.generators.shape[0] == 1
 
 
 def test_translated_domain_reaches_whole_grid():
@@ -88,24 +88,23 @@ def test_translated_domain_reaches_whole_grid():
         size = int(rng.integers(1, inst.size + 1))
         cases.append((inst, tuple(rng.choice(inst.size, size=size, replace=False))))
     for inst, m_idx in cases:
-        dom = translated_domain(inst, m_idx)
+        ys = inst.grid[list(m_idx)]
+        dom = translated_domain(inst.grid, ys)
         reached = set()
         for x in dom:
-            for i in m_idx:
-                j = inst.index_of(x + inst.grid[i])
+            for y in ys:
+                j = inst.index_of(x + y)
                 if j >= 0:
                     reached.add(j)
         assert reached == set(range(inst.size))
-        hat_inf = lattice_inf([inf_translate(inst, x, m_idx) for x in dom])
-        assert equals(hat_inf, exact_inf(inst)[0])
+        hat_inf = lattice_inf(translated_values(inst, dom, ys))
+        assert equals(hat_inf, exact_inf(inst))
 
 
 def test_inf_translate_at_origin_is_subset_inf():
     inst = pair_instance()
-    m_idx = tuple(range(inst.size))
-    v = inf_translate(inst, np.zeros(2), m_idx)
-    ginf, _ = exact_inf(inst)
-    assert equals(v, ginf)
+    v = translated_values(inst, np.zeros(2), inst.grid)[0]
+    assert equals(v, exact_inf(inst))
 
 
 def test_lemma_passes_on_infimizer_subset():
@@ -163,8 +162,8 @@ def test_lemma_evaluates_the_m_translation_once_per_point():
     # (c2) (and by the grid side of (a) when m is the whole grid), plus one
     # at the origin as the value of m among its own supersets
     inst = pair_instance()
-    dom_union = unique_rows(np.vstack([translated_domain(inst, (0, 1)),
-                                       translated_domain(inst, range(inst.size))]))
+    dom_union = unique_rows(np.vstack([translated_domain(inst.grid, inst.grid[:2]),
+                                       translated_domain(inst.grid, inst.grid)]))
     expect = Counter(point_key(x) for x in dom_union)
     expect[point_key(np.zeros(2))] += 1
     for m in (inst.grid[:2], inst.grid):
@@ -183,10 +182,12 @@ def test_lemma_evaluates_the_m_translation_once_per_point():
 
 def test_commutation_looks_each_translate_up_once(monkeypatch):
     # |m| per-point lookups index the subset; every (domain point, subset
-    # point) translate is then looked up once, all in one batch
+    # point) translate is then looked up in two batches: one inside
+    # setfuns.translated_values for the translated values, one for the
+    # support table of the scalarize-then-translate side
     inst = pair_instance()
     m = inst.grid[:2]
-    dom = translated_domain(inst, inst.subset_indices(m))
+    dom = translated_domain(inst.grid, m)
     lookups, batches = [], []
     index_of, indices_of = FiniteInstance.index_of, Grid.indices_of
     monkeypatch.setattr(FiniteInstance, "index_of",
@@ -197,7 +198,7 @@ def test_commutation_looks_each_translate_up_once(monkeypatch):
     dirs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     assert check_commutation(inst, m, dirs) <= 1e-12
     assert len(lookups) == len(m)
-    assert batches == [1] * len(m) + [len(dom) * len(m)]
+    assert batches == [1] * len(m) + [len(dom) * len(m)] * 2
     bad = corrupting_override(inst, m)
     assert check_commutation(inst, m, dirs, fhat_override=bad) >= 0.2
 

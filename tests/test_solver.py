@@ -228,9 +228,8 @@ def test_verify_lattice_minimizer_on_exhaustive_grid():
     probe_values = chain_instance().values
     top, middle, bottom = probe_values
     # the bottom of the chain is minimal, the others are not
-    assert verify_lattice_minimizer(bottom, probe_values)
-    assert not verify_lattice_minimizer(top, probe_values)
-    assert not verify_lattice_minimizer(middle, probe_values)
+    assert verify_lattice_minimizer([top, middle, bottom], probe_values) == [False, False, True]
+    assert verify_lattice_minimizer([bottom], [top]) == [True]
 
 
 @pytest.mark.parametrize("make", [

@@ -27,6 +27,16 @@ def test_construction_and_empty():
     assert_allclose(p.generators, [[3.0, 4.0]])
 
 
+def test_generators_are_a_read_only_copy():
+    src = np.array([[1.0, 2.0], [3.0, 0.5]])
+    a = UpperSet(C2, src)
+    src[0, 0] = 9.0  # the value does not alias its input
+    assert_allclose(a.generators, [[1.0, 2.0], [3.0, 0.5]])
+    for v in (a, UpperSet.empty(C2), UpperSet(C2, []), UpperSet(C2, np.empty((0, 2)))):
+        assert not v.generators.flags.writeable
+    assert UpperSet(C2, []).generators.shape == (0, 2)
+
+
 def test_generator_budget():
     with pytest.raises(GeneratorLimitError):
         UpperSet(C2, np.zeros((10001, 2)))
