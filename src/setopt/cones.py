@@ -51,7 +51,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise InvalidDimensionError(
             f"expected a vector of length {dim}, got length {v.shape[0]}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidDimensionError("vector entries must be finite")
     v = v.copy()
     v.flags.writeable = False
@@ -69,7 +69,7 @@ def as_matrix(rows, dim: int | None = None) -> np.ndarray:
         raise InvalidDimensionError(
             f"expected vectors of length {dim}, got length {m.shape[1]}"
         )
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidDimensionError("vector entries must be finite")
     m = m.copy()
     m.flags.writeable = False

@@ -53,10 +53,16 @@ class Box:
             raise InvalidDimensionError("box needs lower <= upper componentwise")
         self.dim = self.lower.shape[0]
 
-    def contains(self, x) -> bool:
-        x = as_vector(x, self.dim)
+    def contains_rows(self, points) -> np.ndarray:
+        """Which rows of points lie in the box, up to a slack of 1e-12 times
+        each side's length (at least 1e-12), in one comparison."""
+        xs = as_matrix(points, self.dim)
         slack = 1e-12 * np.maximum(1.0, np.abs(self.upper - self.lower))
-        return bool(np.all(x >= self.lower - slack) and np.all(x <= self.upper + slack))
+        return ((xs >= self.lower - slack) & (xs <= self.upper + slack)).all(axis=1)
+
+    def contains(self, x) -> bool:
+        """The one-row case of :meth:`contains_rows`."""
+        return bool(self.contains_rows(as_vector(x, self.dim))[0])
 
     def clip(self, x) -> np.ndarray:
         return np.clip(as_vector(x, self.dim), self.lower, self.upper)
@@ -95,7 +101,12 @@ class Grid:
         i = int(self.indices_of(x)[0])
         return None if i < 0 else i
 
+    def contains_rows(self, points) -> np.ndarray:
+        """Which rows of points are grid points: one :meth:`indices_of` batch."""
+        return self.indices_of(points) >= 0
+
     def contains(self, x) -> bool:
+        """The one-row case of :meth:`contains_rows`."""
         return self.index_of(x) is not None
 
     def __len__(self) -> int:
@@ -126,8 +137,12 @@ class SetFunction:
 
     def values_at(self, points) -> list:
         """The value at each row of points, the empty value off the space:
-        one :func:`evaluate_or_empty` per row."""
-        return [evaluate_or_empty(self, x) for x in as_matrix(points, self.space.dim)]
+        one membership test over all rows, then one evaluation per row in
+        the space."""
+        xs = as_matrix(points, self.space.dim)
+        empty = UpperSet.empty(self.cone)
+        return [self._evaluator(x) if inside else empty
+                for x, inside in zip(xs, self.space.contains_rows(xs))]
 
     @classmethod
     def from_vector_map(cls, space: VarSpace, cone: Cone, fn, label: str = "setfn"):
@@ -202,11 +217,21 @@ class FiniteInstance(SetFunction):
         return tuple(dict.fromkeys(out))
 
 
+def _require_in_space(f: SetFunction, points) -> None:
+    """Raise OutOfDomainError naming the first row of points that lies
+    outside the variable space, after one membership test over all rows."""
+    xs = as_matrix(points, f.space.dim)
+    inside = f.space.contains_rows(xs)
+    if not inside.all():
+        raise OutOfDomainError(
+            f"{xs[int(np.argmin(inside))].tolist()} lies outside the variable space")
+
+
 def _in_space(f: SetFunction, x) -> np.ndarray:
-    """x as a variable-space vector; raises OutOfDomainError outside the space."""
+    """x as a variable-space vector; raises OutOfDomainError outside the
+    space: the one-row case of :func:`_require_in_space`."""
     x = as_vector(x, f.space.dim)
-    if not f.space.contains(x):
-        raise OutOfDomainError(f"{x.tolist()} lies outside the variable space")
+    _require_in_space(f, x)
     return x
 
 
@@ -266,11 +291,15 @@ class CandidateSet:
         return self.points.shape[0]
 
 
+def _check_hull_samples(extra: int) -> None:
+    if extra < 0:
+        raise InputFormatError(f"the hull sample count must be nonnegative, got {extra}")
+
+
 def convex_sample_points(points: np.ndarray, extra: int = CO_SAMPLES, seed: int = 0) -> np.ndarray:
     """Barycentric samples of the convex hull of ``points``: the points,
     all pairwise midpoints, and ``extra`` (at least 0) seeded random ones."""
-    if extra < 0:
-        raise InputFormatError(f"the hull sample count must be nonnegative, got {extra}")
+    _check_hull_samples(extra)
     pts = as_matrix(points)
     k = pts.shape[0]
     out = [pts]
@@ -343,6 +372,14 @@ def scalarized_inf_translation(f: SetFunction, m: CandidateSet, zstar, x) -> flo
     return min(_scalarize_or_inf(f, z, x + y) for y in ys)
 
 
+def _profile_points(f: SetFunction, base: DualBase, points) -> np.ndarray:
+    """The points of a profile of f over base, as a matrix, after the
+    checks that a profile makes before it evaluates f."""
+    if base.cone != f.cone:
+        raise ConeMismatchError("the direction base and the function use different cones")
+    return as_matrix(points, f.space.dim)
+
+
 class ScalarizationProfile:
     """A frozen table of scalarization values over a direction base and a
     point family.  ``values[i, j]`` is the i-th direction at the j-th
@@ -366,9 +403,7 @@ class ScalarizationProfile:
         its generators' products with every base direction (+inf on empty
         values).  The base has already checked its directions against the
         cone, so they need no per-entry dual-cone test."""
-        if base.cone != f.cone:
-            raise ConeMismatchError("the direction base and the function use different cones")
-        pts = as_matrix(points, f.space.dim)
+        pts = _profile_points(f, base, points)
         sets = f.values_at(pts)
         values = np.full((len(base), pts.shape[0]), math.inf)
         for j, v in enumerate(sets):

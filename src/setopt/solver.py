@@ -30,8 +30,10 @@ from .setfuns import (
     ScalarizationProfile,
     SetFunction,
     convex_sample_points,
-    _in_space,
-    _scalarize_or_inf,
+    _check_hull_samples,
+    _profile_points,
+    _require_in_space,
+    _scalarize_in_space,
 )
 from .uppersets import UpperSet, lattice_inf, lattice_minimal
 
@@ -85,9 +87,11 @@ def scalar_minimize(f: SetFunction, zstar, *, start=None) -> ScalarMinResult:
 
 def _feasible_start(f: SetFunction, z: np.ndarray, start) -> tuple[np.ndarray, float]:
     box: Box = f.space
+    # Clipped or meshed into the box, every point evaluated here is in the
+    # space, so none is tested for membership again.
     if start is not None:
         x0 = box.clip(start)
-        v0 = _scalarize_or_inf(f, z, x0)
+        v0 = _scalarize_in_space(f, z, x0)
         if math.isfinite(v0):
             return x0, v0
     axes = [np.linspace(lo, hi, 17)
@@ -96,7 +100,7 @@ def _feasible_start(f: SetFunction, z: np.ndarray, start) -> tuple[np.ndarray, f
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     best_x, best_v = None, math.inf
     for x in pts:
-        v = _scalarize_or_inf(f, z, x)
+        v = _scalarize_in_space(f, z, x)
         if v < best_v:
             best_x, best_v = x, v
     if best_x is None or not math.isfinite(best_v):
@@ -124,16 +128,19 @@ def _compass_search(f: SetFunction, z: np.ndarray, start) -> ScalarMinResult:
     n = box.dim
     scale = np.maximum(box.upper - box.lower, 1e-30) / 2.0
     x, value = _feasible_start(f, z, start)
-    pattern = _pattern_directions(n)
+    # step is always a power of two, so step * (d * scale) equals
+    # step * d * scale exactly and the moves can be scaled once.
+    moves = _pattern_directions(n) * scale
     step = 0.25
     evals = 0
     while step >= STEP_TOL and evals < 200000:
         improved = False
-        for d in pattern:
-            cand = box.clip(x + step * d * scale)
-            if np.all(cand == x):
+        for move in moves:
+            # clipped into the box, so evaluated without a membership test
+            cand = (x + step * move).clip(box.lower, box.upper)
+            if (cand == x).all():
                 continue
-            v = _scalarize_or_inf(f, z, cand)
+            v = _scalarize_in_space(f, z, cand)
             evals += 1
             if v < value:
                 x, value = cand, v
@@ -166,8 +173,8 @@ def _pinned_descending(f: SetFunction, z: np.ndarray, x: np.ndarray, value: floa
                 continue
             inward = x.copy()
             inward[i] += probe_step[i] if lo_side else -probe_step[i]
-            inward = box.clip(inward)
-            v = _scalarize_or_inf(f, z, inward)
+            inward = np.clip(inward, box.lower, box.upper)
+            v = _scalarize_in_space(f, z, inward)
             if v > value + 1e-15 * max(1.0, abs(value)):
                 return True
     return False
@@ -336,12 +343,16 @@ def verify_sc_solution(f: SetFunction, m: CandidateSet, base: DualBase, probe,
         tol = default_tol(f.space)
     if not tol >= 0:
         raise InputFormatError(f"the verdict tolerance must be nonnegative, got {tol!r}")
-    gaps = verify_infimizer(f, m, base, probe, co_extra=co_extra, seed=seed)
-    probe = gaps.probe.points
     # The profiles score off-space points as empty values; the candidate
     # and the probe, which the lattice check reads, must lie in the space.
-    for x in np.concatenate([m.points, probe]):
-        _in_space(f, x)
+    # They are tested before any profile is evaluated, after the checks
+    # that come first in building the profiles, so a bad input keeps its
+    # error.
+    _check_hull_samples(co_extra)
+    _require_in_space(f, np.concatenate([_profile_points(f, base, m.points),
+                                         _profile_points(f, base, probe)]))
+    gaps = verify_infimizer(f, m, base, probe, co_extra=co_extra, seed=seed)
+    probe = gaps.probe.points
     per_dir = gaps.candidate.values - gaps.probe_minima[:, None]
     per_dir = np.where(np.isnan(per_dir), math.inf, per_dir)
     best = np.argmin(per_dir, axis=0)

@@ -15,6 +15,14 @@ outside a value can pass every sampled direction, so :func:`prune` can
 drop a generator the value needs (it does on the benchmark's
 ``fixed_table1`` table).  Each value computes its minimal frontier once,
 and :func:`prune` returns it.
+
+Containment runs one family at a time: the inequalities of many values
+(planar staircase facets, the d = 1 lower bound, or the d >= 3 certificate
+minima) are stacked into one table, and one comparison tells which rows
+of a point array lie in which value.  :func:`lattice_minimal` tests each
+value's minimal generators against the table of all its rivals at once;
+:func:`contains_point` and :func:`order_geq` are the one-value cases of
+the same kernel, so every containment verdict comes from one rule.
 """
 
 from __future__ import annotations
@@ -102,12 +110,25 @@ class UpperSet:
             gens.flags.writeable = False
         else:
             gens = as_matrix(gens, cone.dim)  # a read-only copy
+        self._adopt(gens)
+
+    @classmethod
+    def _of_rows(cls, cone: Cone, rows: np.ndarray) -> "UpperSet":
+        """A value over rows that were validated for this cone already
+        (finite, read-only, of its dimension): only the budget is checked."""
+        a = cls.__new__(cls)
+        a.cone = cone
+        a._adopt(rows)
+        return a
+
+    def _adopt(self, gens: np.ndarray) -> None:
         if gens.shape[0] > GENERATOR_LIMIT:
             raise GeneratorLimitError(
                 f"{gens.shape[0]} generators exceed the budget {GENERATOR_LIMIT}"
             )
         self.generators = gens
         self._frontier_idx: list[int] | None = None
+        self._minimal: np.ndarray | None = None
         self._facets: tuple[np.ndarray, np.ndarray] | None = None
         # max(1, largest |staircase coordinate| of any generator), set with
         # the facets: the planar containment tolerance scales with it
@@ -160,10 +181,14 @@ class UpperSet:
         return self._facets
 
     def minimal_generators(self) -> np.ndarray:
-        """The pruned generator array, frontier-ordered for d <= 2."""
+        """The pruned generator array, frontier-ordered for d <= 2
+        (read-only, computed once)."""
         if self.is_empty:
             return self.generators
-        return self.generators[self._frontier()]
+        if self._minimal is None:
+            self._minimal = self.generators[self._frontier()]
+            self._minimal.flags.writeable = False
+        return self._minimal
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -236,7 +261,9 @@ def lattice_inf(values) -> UpperSet:
     gens = [v.generators for v in values if not v.is_empty]
     if not gens:
         return UpperSet.empty(cone)
-    return prune(UpperSet(cone, np.concatenate(gens, axis=0)))
+    union = np.concatenate(gens, axis=0)
+    union.flags.writeable = False
+    return prune(UpperSet._of_rows(cone, union))
 
 
 def support(a: UpperSet, zstar) -> float:
@@ -253,22 +280,48 @@ def support(a: UpperSet, zstar) -> float:
     return float(np.min(a.generators @ z))
 
 
-def _contains_rows(a: UpperSet, q: np.ndarray, tol: float) -> np.ndarray:
-    """Which rows of q lie in the proper value a, all in one comparison:
-    exact facet arithmetic for d <= 2, sampled support certificate for
-    d >= 3.  Each row's tolerance scales with its own magnitude."""
-    if a.dim == 1:
-        lo = float(np.min(a.generators[:, 0]))
-        return q[:, 0] >= lo - tol * max(1.0, abs(lo))
-    if a.dim == 2:
-        normals, offsets = a.facets()
-        u = q @ a.cone.planar_basis.T
-        scale_ = np.maximum(np.abs(u).max(axis=1), a._u_scale)
-        return (u @ normals.T >= offsets - tol * scale_[:, None]).all(axis=1)
-    dirs = a.cone.certificate_directions
-    mins = (a.generators @ dirs.T).min(axis=0)
-    scale_ = np.maximum(max(1.0, float(np.max(np.abs(a.generators)))), np.abs(q).max(axis=1))
-    return (q @ dirs.T >= mins - tol * scale_[:, None]).all(axis=1)
+def _facet_table(values: list) -> tuple:
+    """The containment inequalities of proper values over one cone,
+    stacked into one table: for d = 1 each value's lower bound; for d = 2
+    each value's staircase facets, the containment scale of the value each
+    facet belongs to, and where each value's facets start; for d >= 3 each
+    value's minima along the certificate directions and its scale."""
+    dim = values[0].dim
+    if dim == 1:
+        return (np.array([float(np.min(v.generators[:, 0])) for v in values]),)
+    if dim == 2:
+        facets = [v.facets() for v in values]
+        sizes = [h.shape[0] for _, h in facets]
+        return (np.concatenate([n for n, _ in facets]), np.concatenate([h for _, h in facets]),
+                np.repeat([v._u_scale for v in values], sizes),
+                np.cumsum([0] + sizes[:-1]))
+    dirs = values[0].cone.certificate_directions
+    return (np.stack([(v.generators @ dirs.T).min(axis=0) for v in values]),
+            np.array([max(1.0, float(np.max(np.abs(v.generators)))) for v in values]))
+
+
+def _inside(cone: Cone, table: tuple, q: np.ndarray, tol: float) -> np.ndarray:
+    """Which rows of q lie in each value of a :func:`_facet_table`, all in
+    one comparison, as a (values, rows) array: exact facet arithmetic for
+    d <= 2, the sampled support certificate for d >= 3.  A value's verdict
+    on a row does not depend on the other values in the table, and for
+    d >= 2 each row's tolerance scales with its own magnitude."""
+    if cone.dim == 1:
+        (lo,) = table
+        return q[None, :, 0] >= (lo - tol * np.maximum(1.0, np.abs(lo)))[:, None]
+    if cone.dim == 2:
+        normals, offsets, scales, starts = table
+        u = q @ cone.planar_basis.T
+        # elementwise, not a matrix product, so that a facet's products do
+        # not depend on where the facet sits in the table
+        prods = u[:, :1] * normals[:, 0] + u[:, 1:] * normals[:, 1]
+        scale_ = np.maximum(np.abs(u).max(axis=1)[:, None], scales)
+        ok = prods >= offsets - tol * scale_
+        return np.logical_and.reduceat(ok, starts, axis=1).T
+    mins, scales = table
+    scale_ = np.maximum(scales[:, None], np.abs(q).max(axis=1))
+    prods = q @ cone.certificate_directions.T
+    return (prods[None] >= mins[:, None, :] - tol * scale_[:, :, None]).all(axis=2)
 
 
 def contains_point(a: UpperSet, q, tol: float = TOL_GEOM) -> bool:
@@ -276,19 +329,20 @@ def contains_point(a: UpperSet, q, tol: float = TOL_GEOM) -> bool:
     Always false on the empty set."""
     if a.is_empty:
         return False
-    return bool(_contains_rows(a, as_vector(q, a.dim)[None, :], tol)[0])
+    return bool(_inside(a.cone, _facet_table([a]), as_vector(q, a.dim)[None, :], tol)[0, 0])
 
 
 def order_geq(a: UpperSet, b: UpperSet, tol: float = TOL_GEOM) -> bool:
     """Lattice order ``a >= b`` for minimization: a is the larger (worse)
     value iff a is contained in b as a set, tested on all of a's minimal
-    generators at once.  Empty is the top element."""
+    generators at once; the one-rival case of :func:`lattice_minimal`'s
+    kernel.  Empty is the top element."""
     _require_same_cone(a, b)
     if a.is_empty:
         return True
     if b.is_empty:
         return False
-    return bool(_contains_rows(b, a.minimal_generators(), tol).all())
+    return bool(_inside(a.cone, _facet_table([b]), a.minimal_generators(), tol).all())
 
 
 def equals(a: UpperSet, b: UpperSet, tol: float = TOL_GEOM) -> bool:
@@ -300,16 +354,35 @@ def lattice_minimal(values, rivals) -> list[bool]:
     """For each value a, whether no rival v is strictly smaller in the
     lattice: ``order_geq(a, v) and not order_geq(v, a)`` holds for none.
     No value is strictly smaller than itself, so ``values`` may be among
-    the rivals."""
-    rivals = list(rivals)
-    return [not any(order_geq(a, v) and not order_geq(v, a) for v in rivals)
-            for a in values]
+    the rivals.
+
+    One value at a time, its minimal generators are tested against the
+    stacked facet table of all proper rivals in one comparison; only the
+    rivals that contain the value get the reverse test, by
+    :func:`order_geq`.  The empty value lies above every proper rival."""
+    values, rivals = list(values), list(rivals)
+    if not values:
+        return []
+    _require_same_cone(*values, *rivals)
+    proper = [v for v in rivals if not v.is_empty]
+    if not proper:
+        return [True] * len(values)
+    cone = proper[0].cone
+    table = _facet_table(proper)
+    out = []
+    for a in values:
+        if a.is_empty:
+            out.append(False)
+            continue
+        below = _inside(cone, table, a.minimal_generators(), TOL_GEOM).all(axis=1)
+        out.append(all(order_geq(v, a) for v, b in zip(proper, below) if b))
+    return out
 
 
 def prune(a: UpperSet) -> UpperSet:
     """Minimal generator description: drops every generator contained in
     the upper set spanned by the others."""
-    return UpperSet(a.cone, a.minimal_generators())
+    return UpperSet._of_rows(a.cone, a.minimal_generators())
 
 
 def boundary_polyline(a: UpperSet) -> tuple[np.ndarray, np.ndarray]:

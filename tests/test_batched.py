@@ -4,7 +4,8 @@ per-direction loop it replaced, kept here as the reference.
 The commutation gap must agree to the last bit (both sides run the same
 products), containment must agree exactly on probes placed on facets and
 inside and outside the tolerance band, and batched grid lookups must agree
-row by row with the one-point lookup.  The inf-translation must give the
+row by row with the one-point lookup.  Every containment test is the
+one-rival case of the stacked facet-table kernel.  The inf-translation must give the
 same generator arrays, bit for bit, as one evaluation per translate, and
 the lattice-minimality rule the same verdicts as the pairwise loop it
 replaced.
@@ -20,8 +21,8 @@ from setopt.oracle import (check_commutation, corrupting_override, random_cone_2
                            random_instance)
 from setopt.setfuns import (Box, Grid, SetFunction, evaluate_or_empty, translated_domain,
                             translated_values)
-from setopt.uppersets import (UpperSet, contains_point, equals, lattice_inf, lattice_minimal,
-                              order_geq, support)
+from setopt.uppersets import (UpperSet, _facet_table, _inside, contains_point, equals,
+                              lattice_inf, lattice_minimal, order_geq, support)
 
 DRAWS = 60
 
@@ -163,6 +164,7 @@ def test_batched_grid_lookup_matches_the_one_point_lookup():
             assert (-1 if one is None else one) == i == keys.get(point_key(q), -1)
         assert list(batch[:len(pts)]) == list(range(len(pts)))
         assert batch[-1] == batch[-2] == 0
+        assert grid.contains_rows(queries).tolist() == [grid.contains(q) for q in queries]
 
 
 def reference_translated_values(f, xs, ys):
@@ -225,31 +227,65 @@ def reference_minimal(values, rivals):
     return [not any(order_geq(a, v) and not equals(a, v) for v in rivals) for a in values]
 
 
+def random_family(rng, cone):
+    """Values over one cone with empty values, repeats, and near-repeats
+    just above the last value along the cone: equal within the tolerance
+    at 1e-13, strictly larger at 1e-6."""
+    family = []
+    for _ in range(int(rng.integers(2, 9))):
+        r = rng.random()
+        if r < 0.15:
+            family.append(UpperSet.empty(cone))
+        elif r < 0.3 and family:
+            family.append(UpperSet(cone, family[-1].generators))
+        elif r < 0.45 and family:
+            shift = rng.choice([1e-13, 1e-6]) * cone.primal[0]
+            family.append(UpperSet(cone, family[-1].generators + shift))
+        else:
+            family.append(random_value(rng, cone, cone.dim))
+    return family
+
+
 def test_lattice_minimal_matches_the_pairwise_reference():
     rng = np.random.default_rng(1207)
-    saw_repeat = saw_empty = saw_dominated = 0
-    for _ in range(200):
-        cone = random_cone_2d(rng)
-        family = []
-        for _ in range(int(rng.integers(2, 9))):
-            r = rng.random()
-            if r < 0.15:
-                family.append(UpperSet.empty(cone))
-            elif r < 0.3 and family:
-                family.append(UpperSet(cone, family[-1].generators))   # a repeat
-            elif r < 0.45 and family:
-                # just above the last value along the cone: equal within the
-                # tolerance at 1e-13, strictly larger at 1e-6
-                shift = rng.choice([1e-13, 1e-6]) * cone.primal[0]
-                family.append(UpperSet(cone, family[-1].generators + shift))
-            else:
-                family.append(random_value(rng, cone))
-        rivals = family + [random_value(rng, cone) for _ in range(int(rng.integers(0, 3)))]
-        got = lattice_minimal(family, rivals)
-        assert got == reference_minimal(family, rivals)
-        assert lattice_minimal(family, family) == reference_minimal(family, family)
-        saw_repeat += any(equals(a, b) and not a.is_empty
-                          for i, a in enumerate(family) for b in family[i + 1:])
-        saw_empty += any(v.is_empty for v in family)
-        saw_dominated += not all(got)
-    assert saw_repeat and saw_empty and saw_dominated
+    for draws, make_cone in ((200, random_cone_2d), (100, lambda _: cone_orthant(1)),
+                             (100, lambda _: cone_orthant(3))):
+        saw_repeat = saw_empty = saw_dominated = 0
+        for _ in range(draws):
+            cone = make_cone(rng)
+            family = random_family(rng, cone)
+            rivals = family + [random_value(rng, cone, cone.dim)
+                               for _ in range(int(rng.integers(0, 3)))]
+            got = lattice_minimal(family, rivals)
+            assert got == reference_minimal(family, rivals)
+            assert lattice_minimal(family, family) == reference_minimal(family, family)
+            saw_repeat += any(equals(a, b) and not a.is_empty
+                              for i, a in enumerate(family) for b in family[i + 1:])
+            saw_empty += any(v.is_empty for v in family)
+            saw_dominated += not all(got)
+        assert saw_repeat and saw_empty and saw_dominated
+        # no rivals, or only empty ones: every value is minimal
+        empties = [UpperSet.empty(cone)] * 3
+        for rivals in ([], empties):
+            assert lattice_minimal(family, rivals) == reference_minimal(family, rivals)
+            assert lattice_minimal(family, rivals) == [True] * len(family)
+        assert lattice_minimal([], family) == []
+
+
+def test_order_and_membership_are_the_one_rival_case_of_the_table_kernel():
+    rng = np.random.default_rng(1208)
+    for make_cone, dim in ((random_cone_2d, 2), (lambda _: cone_orthant(1), 1),
+                           (lambda _: cone_orthant(3), 3)):
+        for _ in range(60):
+            cone = make_cone(rng)
+            rivals = [v for v in random_family(rng, cone) if not v.is_empty]
+            rivals += [random_value(rng, cone, dim)]
+            a = random_value(rng, cone, dim)
+            probes = np.vstack([rng.normal(0.0, 3.0, size=(6, dim)), a.minimal_generators(),
+                                *(v.generators + 1e-12 for v in rivals)])
+            table = _inside(cone, _facet_table(rivals), probes, TOL_GEOM)
+            assert table.shape == (len(rivals), probes.shape[0])
+            for v, row in zip(rivals, table):
+                assert [contains_point(v, q) for q in probes] == row.tolist()
+            below = _inside(cone, _facet_table(rivals), a.minimal_generators(), TOL_GEOM)
+            assert below.all(axis=1).tolist() == [order_geq(a, v) for v in rivals]

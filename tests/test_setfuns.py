@@ -36,6 +36,25 @@ def test_box_contains_and_clip():
         Box([1.0], [0.0])
 
 
+def test_box_row_test_matches_contains_at_the_slack_edge():
+    b = Box([0.0, -2.0], [1e3, 1.0])
+    slack = 1e-12 * np.maximum(1.0, b.upper - b.lower)
+    mid = (b.lower + b.upper) / 2.0
+    rows, expect = [], []
+    for i in range(b.dim):
+        for edge, out in ((b.lower[i] - slack[i], -np.inf), (b.upper[i] + slack[i], np.inf)):
+            for value, inside in ((edge, True), (np.nextafter(edge, out), False),
+                                  ((edge + mid[i]) / 2.0, True), (2.0 * edge - mid[i], False)):
+                row = mid.copy()
+                row[i] = value
+                rows.append(row)
+                expect.append(inside)
+    assert b.contains_rows(np.array(rows)).tolist() == expect
+    assert [b.contains(r) for r in rows] == expect
+    with pytest.raises(InvalidDimensionError):
+        b.contains_rows(np.ones((2, 3)))
+
+
 def test_grid_membership_and_duplicates():
     g = Grid(np.array([[0.0], [1.0], [2.0]]))
     assert len(g) == 3

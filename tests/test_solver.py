@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from setopt.catalog import make_problem, pair_instance
+from setopt.catalog import directions_for, make_problem, pair_instance
 from setopt.cones import base_directions, cone_orthant, default_anchor, interior_base
-from setopt.errors import EmptyCandidateError, InfeasibleProblemError, InvalidDirectionError
+from setopt.errors import (ConeMismatchError, EmptyCandidateError, InfeasibleProblemError,
+                           InputFormatError, InvalidDimensionError, InvalidDirectionError,
+                           OutOfDomainError)
 from setopt.oracle import enumerate_lattice_minimizers, random_instance
 from setopt.setfuns import (Box, CandidateSet, FiniteInstance, Grid, SetFunction,
                             convex_sample_points, evaluate, scalarize)
@@ -163,6 +166,57 @@ def test_linear_vop_sweep_attains_vertex_values():
         assert d <= 1e-4
 
 
+def _sweep_pins(results):
+    """Each result's evaluation count and flags, and one digest of the
+    exact bytes of every minimizer and minimum."""
+    digest = hashlib.sha256()
+    for r in results:
+        digest.update(r.minimizer.tobytes())
+        digest.update(np.float64(r.value).tobytes())
+    return ([r.iterations for r in results], [(r.converged, r.note) for r in results],
+            digest.hexdigest())
+
+
+PINNED = "suspected non-attainment: descent pinned at the box boundary"
+
+
+@pytest.mark.parametrize("name, base, iterations, flags, digest", [
+    ("linear_vop", 41, [360] + [392] * 19 + [216] + [392] * 19 + [360], [(True, "")] * 41,
+     "bfe0ee772221f9d184b39d165c0fd1402079fa5c2bf20f0fb26c9838f642c7b6"),
+    ("hyperbola", None, [110, 102, 98, 94, 50, 82, 90, 94, 94], [(True, "")] * 9,
+     "21be4cf3c3545d84c763753ce79aaeb745db4ef487ec96f893cf009121f04f8a"),
+    # a full base: both extreme directions end pinned at a box face
+    ("hyperbola", "full", [35, 78, 50, 86, 28],
+     [(False, PINNED)] + [(True, "")] * 3 + [(False, PINNED)],
+     "4eb7b67c331b17429086c0f7e4bd0b0d0ec05d3b9059d82db6a074d6b5f6b56c"),
+], ids=["linear_vop", "hyperbola", "hyperbola-full"])
+def test_box_sweep_keeps_its_trajectory(name, base, iterations, flags, digest):
+    # Pinned from the compass search that tested every clipped candidate
+    # for box membership before evaluating it: evaluating the clipped
+    # candidates directly must not move a bit.
+    prob = make_problem(name)
+    if base == "full":
+        base = base_directions(prob.setfn.cone, prob.anchor, 4)
+    else:
+        base = directions_for(prob, base)
+    results = sweep(prob.setfn, base, start=prob.start)
+    assert _sweep_pins(results) == (iterations, flags, digest)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, 2.0, 3.0]], ids=["nan", "length"])
+def test_compass_search_checks_the_vector_map_output(bad):
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return np.array(bad) if len(calls) > 40 else np.array([x[0], 1.0 / x[0]])
+
+    f = SetFunction.from_vector_map(Box([0.5], [3.0]), C2, fn)
+    with pytest.raises(InvalidDimensionError):
+        scalar_minimize(f, np.array([0.5, 0.5]), start=[2.5])
+    assert len(calls) == 41   # the start, then 40 search evaluations
+
+
 def test_collect_candidate_merges_nearby_minimizers():
     z = np.array([0.5, 0.5])
     mk = lambda x: ScalarMinResult(z, np.array(x), 0.0, 1, True)
@@ -259,6 +313,35 @@ def test_verify_sc_solution_evaluates_each_point_once(make):
     if inst.label == "pair":
         assert expect == [True, True, False]
     assert not all(expect)  # a dominated point, so the check can fail
+
+
+def test_off_space_points_are_refused_before_any_evaluation():
+    prob = make_problem("linear_vop")
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return prob.setfn.vector_map(x)
+
+    f = SetFunction.from_vector_map(prob.setfn.space, C2, fn)
+    base = base_directions(C2, prob.anchor, 8)
+    probe = probe_points(f.space, 5)
+    m = CandidateSet(np.array([[1.0, 0.0], [5.0, 5.0], [6.0, 6.0]]))
+    # the first off-space row in candidate-then-probe order is named
+    with pytest.raises(OutOfDomainError, match=r"^\[5.0, 5.0\] lies outside"):
+        verify_sc_solution(f, m, base, np.concatenate([probe, [[7.0, 7.0]]]))
+    with pytest.raises(OutOfDomainError, match=r"^\[7.0, 7.0\] lies outside"):
+        verify_sc_solution(f, CandidateSet(np.array([[1.0, 0.0]])), base,
+                           np.concatenate([probe, [[7.0, 7.0]]]))
+    assert calls == []
+    # the checks that come first in building the profiles still do
+    with pytest.raises(InputFormatError, match="hull sample count"):
+        verify_sc_solution(f, m, base, probe, co_extra=-1)
+    with pytest.raises(ConeMismatchError):
+        verify_sc_solution(f, m, base_directions(cone_orthant(3), [1.0, 1.0, 1.0], 2), probe)
+    with pytest.raises(InvalidDimensionError, match="length 2, got length 3"):
+        verify_sc_solution(f, m, base, np.ones((4, 3)))
+    assert calls == []
 
 
 def test_build_infimum_linear_vop():
